@@ -48,4 +48,11 @@ echo "==> transport/overlap smoke (overlap --quick --validate)"
 ./target/release/overlap --quick --validate --json /tmp/overlap_smoke.json
 test -s /tmp/overlap_smoke.json
 
+echo "==> benchmark package tests (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> benchmark smoke (transport-4n: every rung's virtual time and per-step counts are pinned)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+    --workload transport-4n --seed 1 --seconds 5 --trace 0
+
 echo "==> OK"

@@ -28,10 +28,10 @@
 //! so their `baseline_min_s`/`speedup` columns compare against the
 //! original pre-optimization simulator. See `docs/PERFORMANCE.md`.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use detsim::{Kernel, Sim, SimDuration};
-use parking_lot::Mutex;
 use stencil_bench::microbench::{Bench, Summary};
 use stencil_bench::{measure_exchange, weak_scaling_extent, ExchangeConfig};
 
@@ -72,15 +72,15 @@ fn sched_spawn(threads: usize) {
 /// Schedule `n` closure events (in scheduling order) and drain the queue.
 fn event_churn(n: usize) {
     let mut k = Kernel::new();
-    let hits = Arc::new(Mutex::new(0u64));
+    let hits = Rc::new(RefCell::new(0u64));
     for i in 0..n {
-        let hits = Arc::clone(&hits);
+        let hits = Rc::clone(&hits);
         k.schedule_in(SimDuration::from_nanos((i % 977) as u64), move |_| {
-            *hits.lock() += 1;
+            *hits.borrow_mut() += 1;
         });
     }
     k.run_to_completion();
-    assert_eq!(*hits.lock(), n as u64);
+    assert_eq!(*hits.borrow_mut(), n as u64);
 }
 
 /// Worst-case reshare fan-out: every flow shares one link, so each

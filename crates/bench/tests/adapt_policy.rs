@@ -5,16 +5,15 @@
 //!   re-placement cannot fix a transient and the migration itself costs
 //!   downtime;
 //! * **warmup** — no verdict (and no probe traffic) before the baseline
-//!   window count is met;
-//! * the deprecated pre-policy API (`HealthMonitor::new`,
-//!   `adapt_placement`) keeps working for one release.
+//!   window count is met.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use detsim::SimDuration;
 use faultsim::FaultSchedule;
 use gpusim::DataMode;
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
-use std::sync::Arc;
 use stencil_core::{AdaptOutcome, AdaptPolicy, DomainBuilder, SkipReason};
 use topo::summit::summit_cluster;
 
@@ -27,8 +26,8 @@ use topo::summit::summit_cluster;
 fn flapping_nic_never_triggers_migration() {
     const WARMUP: usize = 3;
     const FAULTED_ITERS: usize = 12;
-    let outcomes: Arc<Mutex<Vec<AdaptOutcome>>> = Arc::new(Mutex::new(Vec::new()));
-    let o2 = Arc::clone(&outcomes);
+    let outcomes: Rc<RefCell<Vec<AdaptOutcome>>> = Rc::new(RefCell::new(Vec::new()));
+    let o2 = Rc::clone(&outcomes);
     let world = WorldConfig::new(summit_cluster(2), 3)
         .data_mode(DataMode::Virtual)
         .metrics(true);
@@ -74,10 +73,10 @@ fn flapping_nic_never_triggers_migration() {
             mine.push(dom.adapt(ctx, &mut monitor));
         }
         if ctx.rank() == 0 {
-            *o2.lock() = mine;
+            *o2.borrow_mut() = mine;
         }
     });
-    let outcomes = outcomes.lock().clone();
+    let outcomes = outcomes.borrow_mut().clone();
     assert_eq!(outcomes.len(), WARMUP + FAULTED_ITERS);
     for (i, o) in outcomes.iter().take(WARMUP).enumerate() {
         assert_eq!(
@@ -124,40 +123,4 @@ fn flapping_nic_never_triggers_migration() {
         "resilience/adapt_skipped counter missing from metrics: {json}"
     );
     assert!(json.contains("hysteresis"), "skip labels missing: {json}");
-}
-
-/// The deprecated pre-policy surface still works: `HealthMonitor::new`
-/// behaves like a policy with the same threshold/warmup (hysteresis 1),
-/// and `adapt_placement` re-probes and migrates unconditionally.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_work() {
-    let adapted: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
-    let a2 = Arc::clone(&adapted);
-    let world = WorldConfig::new(summit_cluster(1), 6).data_mode(DataMode::Virtual);
-    run_world(world, move |ctx| {
-        let mut dom = DomainBuilder::new([192, 192, 192])
-            .radius(2)
-            .quantities(2)
-            .build(ctx);
-        let mut monitor = stencil_core::HealthMonitor::new(1.5, 2);
-        for _ in 0..2 {
-            ctx.barrier();
-            dom.exchange(ctx);
-            ctx.barrier();
-            monitor.check(ctx);
-        }
-        let changed = dom.adapt_placement(ctx);
-        // Whatever the verdict, the domain must still exchange cleanly on
-        // its (possibly rebuilt) plans.
-        ctx.barrier();
-        dom.exchange(ctx);
-        if ctx.rank() == 0 {
-            *a2.lock() = Some(changed);
-        }
-    });
-    assert!(
-        adapted.lock().is_some(),
-        "deprecated adapt_placement failed to run"
-    );
 }

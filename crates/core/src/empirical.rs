@@ -13,6 +13,9 @@
 //! matrices, so every rank ends up with the same placement without global
 //! communication.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use mpisim::RankCtx;
 
 /// Setup-channel tag space for bandwidth-matrix broadcast (outside the
@@ -70,13 +73,10 @@ pub fn measure_node_bandwidths(ctx: &RankCtx, probe_bytes: u64) -> Vec<Vec<f64>>
                 // Stamp the *completion* time from a callback: waiting on the
                 // probes one by one would inflate the duration of any probe
                 // that finishes while we are blocked on an earlier one.
-                let end = std::sync::Arc::new(parking_lot::Mutex::new(detsim::SimTime::ZERO));
-                let e2 = std::sync::Arc::clone(&end);
-                ctx.sim().with_kernel(|k| {
-                    k.on_complete(&done, move |k| {
-                        *e2.lock() = k.now();
-                    })
-                });
+                let end = Rc::new(Cell::new(detsim::SimTime::ZERO));
+                let e2 = Rc::clone(&end);
+                ctx.sim()
+                    .with_kernel(|k| k.on_complete(&done, move |k| e2.set(k.now())));
                 probes.push((a, b, t0, end, done));
                 bufs.push((src, dst));
             }
@@ -84,7 +84,7 @@ pub fn measure_node_bandwidths(ctx: &RankCtx, probe_bytes: u64) -> Vec<Vec<f64>>
         let mut bw = vec![vec![0.0f64; g]; g];
         for (a, b, t0, end, done) in probes {
             ctx.sim().wait(&done);
-            let dt = end.lock().since(t0).as_secs_f64();
+            let dt = end.get().since(t0).as_secs_f64();
             bw[a][b] = probe_bytes as f64 / dt;
         }
         for (src, dst) in bufs {

@@ -9,13 +9,13 @@
 //! polled in a loop, so every transfer's phases overlap with everything
 //! else — exactly the paper's Fig. 9 structure.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use detsim::{Completion, Kernel};
 use gpusim::{Buffer, Stream, Work};
 use mpisim::{Channel, ChannelRound, RankCtx, Request};
-use parking_lot::Mutex;
 
 use crate::dim3::Dim3;
 use crate::domain::DistributedDomain;
@@ -28,7 +28,7 @@ use crate::stats::PlanSummary;
 /// analogue of the `cudaIpc` event handles real colocated exchange shares
 /// at setup so that no MPI happens during exchanges.
 #[derive(Clone)]
-pub struct Mailbox(Arc<Mutex<MailboxState>>);
+pub struct Mailbox(Rc<RefCell<MailboxState>>);
 
 #[derive(Default)]
 struct MailboxState {
@@ -38,16 +38,14 @@ struct MailboxState {
 
 impl Mailbox {
     fn new() -> Mailbox {
-        Mailbox(Arc::new(Mutex::new(MailboxState::default())))
+        Mailbox(Rc::new(RefCell::new(MailboxState::default())))
     }
 
     fn put(&self, k: &mut Kernel, c: Completion) {
-        let mut st = self.0.lock();
+        let mut st = self.0.borrow_mut();
         st.items.push_back(c);
-        // Complete *every* queued waiter: pollers may abandon a waiter
-        // without ever blocking on it (wait_any returns early when another
-        // completion is already done), so completing only the oldest could
-        // signal a dead waiter and strand the live one.
+        // Complete *every* queued waiter, so no receiver can be stranded
+        // behind a waiter nobody watches any more.
         let waiters = std::mem::take(&mut st.waiters);
         drop(st);
         for w in waiters {
@@ -58,7 +56,7 @@ impl Mailbox {
     /// Take a landed-data completion, or a completion to wait on before
     /// retrying.
     fn try_take(&self, k: &mut Kernel) -> Result<Completion, Completion> {
-        let mut st = self.0.lock();
+        let mut st = self.0.borrow_mut();
         match st.items.pop_front() {
             Some(c) => Ok(c),
             None => {
@@ -666,7 +664,6 @@ enum Machine {
     },
     ColoRecv {
         plan: usize,
-        arrival: Option<Completion>,
         unpack_ev: Option<Completion>,
     },
     GroupedSend {
@@ -732,6 +729,61 @@ impl Machine {
 enum Poll {
     Done,
     Blocked(Completion),
+}
+
+/// Flags of an in-flight exchange: which machines (indices `0..n`) and
+/// pending pure-CUDA completions (`n..`) saw their blocker fire since they
+/// were last looked at. Blocker callbacks set flags and wake the rank when
+/// it is parked waiting for one.
+struct Wakeups {
+    tid: usize,
+    flags: RefCell<Vec<bool>>,
+    parked: Cell<bool>,
+}
+
+impl Wakeups {
+    fn new(tid: usize, machines: usize, pending: usize) -> Wakeups {
+        let mut flags = vec![true; machines];
+        flags.resize(machines + pending, false);
+        Wakeups {
+            tid,
+            flags: RefCell::new(flags),
+            parked: Cell::new(false),
+        }
+    }
+
+    /// Flag `index` when `c` completes (at once if it already has).
+    fn arm(self: &Rc<Self>, ctx: &RankCtx, c: &Completion, index: usize) {
+        let w = Rc::clone(self);
+        ctx.sim().with_kernel(|k| {
+            k.on_complete(c, move |k| {
+                w.flags.borrow_mut()[index] = true;
+                if w.parked.get() {
+                    k.wake(w.tid);
+                }
+            })
+        });
+    }
+
+    /// Clear and return the lowest flagged index in `range`.
+    fn take_flag(&self, range: std::ops::Range<usize>) -> Option<usize> {
+        let mut flags = self.flags.borrow_mut();
+        let i = range.into_iter().find(|&i| flags[i])?;
+        flags[i] = false;
+        Some(i)
+    }
+
+    /// Give up the token until some blocker fires, unless one already has.
+    fn park_until_flagged(&self, ctx: &RankCtx) {
+        if self.flags.borrow().contains(&true) {
+            return;
+        }
+        self.parked.set(true);
+        while !self.flags.borrow().contains(&true) {
+            ctx.sim().park();
+        }
+        self.parked.set(false);
+    }
 }
 
 /// An in-flight exchange started by
@@ -823,7 +875,6 @@ impl DistributedDomain {
                 Method::ColocatedMemcpy => {
                     machines.push(Machine::ColoRecv {
                         plan: i,
-                        arrival: None,
                         unpack_ev: None,
                     });
                 }
@@ -1386,28 +1437,15 @@ impl DistributedDomain {
                     Poll::Blocked(ev.clone())
                 }
             }
-            Machine::ColoRecv {
-                plan,
-                arrival,
-                unpack_ev,
-            } => {
+            Machine::ColoRecv { plan, unpack_ev } => {
                 let rp = &self.recv_plans[*plan];
                 if unpack_ev.is_none() {
-                    // Reuse a cached arrival waiter across polls so that at
-                    // most one waiter per machine is ever outstanding.
-                    if let Some(a) = arrival.as_ref() {
-                        if !a.is_done() {
-                            return Poll::Blocked(a.clone());
-                        }
-                        *arrival = None;
-                    }
+                    // The machine is polled again only once the returned
+                    // waiter fires, so at most one is ever outstanding.
                     let mailbox = rp.mailbox.as_ref().unwrap();
                     let copied = match ctx.sim().with_kernel(|k| mailbox.try_take(k)) {
                         Ok(c) => c,
-                        Err(waiter) => {
-                            *arrival = Some(waiter.clone());
-                            return Poll::Blocked(waiter);
-                        }
+                        Err(waiter) => return Poll::Blocked(waiter),
                     };
                     timing.phase("wait", since_start(ctx));
                     m.stream_wait_event(ctx.sim(), rp.stream, &copied);
@@ -1438,13 +1476,21 @@ impl DistributedDomain {
         }
     }
 
-    /// Drive an in-flight exchange to completion: poll every state machine,
-    /// blocking on whichever completions are outstanding, until all
-    /// transfers (sends *and* receives, including unpacks) have finished.
-    /// Returns the observed timing breakdown.
+    /// Drive an in-flight exchange to completion, until all transfers
+    /// (sends *and* receives, including unpacks) and pending pure-CUDA
+    /// completions have finished. Returns the observed timing breakdown.
+    ///
+    /// Wake-driven: each machine's blocker is armed once with a callback
+    /// that flags the machine and wakes this rank, and a round polls only
+    /// the flagged machines, in ascending index order (one flagged above the
+    /// cursor mid-round is polled in the same round). Polling a machine
+    /// whose blocker has not fired is a no-op, so this makes exactly the
+    /// calls, at the same virtual instants, that re-polling every live
+    /// machine on every wake would.
     pub fn exchange_finish(&self, ctx: &RankCtx, mut handle: ExchangeHandle) -> ExchangeTiming {
         let mut live: Vec<Machine> = std::mem::take(&mut handle.machines);
-        let mut done = vec![false; live.len()];
+        let pending = std::mem::take(&mut handle.pending);
+        let n = live.len();
         let mut timing = ExchangeTiming::default();
         let stamp = |timing: &mut ExchangeTiming, m: Method, now: detsim::SimTime| {
             let d = now.since(handle.started);
@@ -1456,34 +1502,32 @@ impl DistributedDomain {
                 timing.total = d;
             }
         };
-        loop {
-            let mut blockers: Vec<Completion> = Vec::new();
-            for (i, mach) in live.iter_mut().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                match self.poll_machine(ctx, mach, handle.started, &mut timing) {
+        // Every machine starts flagged: the first round polls them all.
+        let wake = Rc::new(Wakeups::new(ctx.sim().tid(), n, pending.len()));
+        for (j, (_, c)) in pending.iter().enumerate() {
+            wake.arm(ctx, c, n + j);
+        }
+        let mut left = n + pending.len();
+        while left > 0 {
+            let mut cursor = 0;
+            while let Some(i) = wake.take_flag(cursor..n) {
+                match self.poll_machine(ctx, &mut live[i], handle.started, &mut timing) {
                     Poll::Done => {
-                        done[i] = true;
-                        stamp(&mut timing, mach.method(), ctx.sim().now());
+                        left -= 1;
+                        stamp(&mut timing, live[i].method(), ctx.sim().now());
                     }
-                    Poll::Blocked(c) => blockers.push(c),
+                    Poll::Blocked(c) => wake.arm(ctx, &c, i),
                 }
+                cursor = i + 1;
             }
             let now = ctx.sim().now();
-            handle.pending.retain(|(m, c)| {
-                if c.is_done() {
-                    stamp(&mut timing, *m, now);
-                    false
-                } else {
-                    true
-                }
-            });
-            blockers.extend(handle.pending.iter().map(|(_, c)| c.clone()));
-            if blockers.is_empty() {
-                break;
+            while let Some(j) = wake.take_flag(n..n + pending.len()) {
+                left -= 1;
+                stamp(&mut timing, pending[j - n].0, now);
             }
-            ctx.wait_any_completion(&blockers);
+            if left > 0 {
+                wake.park_until_flagged(ctx);
+            }
         }
         self.record_exchange_metrics(ctx, &timing);
         timing

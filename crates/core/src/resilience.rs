@@ -320,21 +320,6 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor flagging windows whose mean exchange time exceeds
-    /// `threshold` × the baseline (e.g. `1.5` = 50% slower). The baseline
-    /// is the mean of the first `warmup_windows` non-empty windows.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AdaptPolicy::new().threshold(..).warmup_windows(..).monitor()"
-    )]
-    pub fn new(threshold: f64, warmup_windows: usize) -> HealthMonitor {
-        HealthMonitor::from_policy(
-            AdaptPolicy::new()
-                .threshold(threshold)
-                .warmup_windows(warmup_windows),
-        )
-    }
-
     pub(crate) fn from_policy(policy: AdaptPolicy) -> HealthMonitor {
         HealthMonitor {
             policy,
@@ -678,26 +663,6 @@ impl DistributedDomain {
             }
         });
         AdaptOutcome::Skipped { reason }
-    }
-
-    /// Adaptive re-placement (collective): unconditionally re-probe,
-    /// re-solve, and migrate. Returns `true` if the placement changed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use DistributedDomain::adapt with an AdaptPolicy-built HealthMonitor"
-    )]
-    pub fn adapt_placement(&mut self, ctx: &RankCtx) -> bool {
-        let resolved = self.probe_and_resolve_global(ctx);
-        if resolved
-            .placements
-            .iter()
-            .zip(&self.placements)
-            .all(|(a, b)| a.gpu_for_subdomain == b.gpu_for_subdomain)
-        {
-            return false;
-        }
-        self.migrate_and_rebuild(ctx, resolved.placements, MigrationMode::Overlapped);
-        true
     }
 
     /// Probe every node, all-gather the measured matrices, re-solve every

@@ -17,7 +17,7 @@
 //!
 //! * All fibers of a [`Runtime`] run on the **same OS thread**, strictly
 //!   interleaved — there is no concurrency, so `Cell`s are enough for the
-//!   mutable slots and the kernel mutex is never contended.
+//!   mutable slots and the kernel sits in a `RefCell`.
 //! * Unwinding never crosses a `fiber_switch`: the fiber entry wrapper
 //!   catches every panic before it could reach the assembly frame.
 //! * A fiber that is abandoned mid-flight (simulation poisoned while it
@@ -47,9 +47,17 @@ pub(crate) const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 const STACK_CANARY: u64 = 0xFEED_FACE_CAFE_BEEF;
 
 /// The boxed entry closure a fiber runs. Receives the first resume message
-/// ([`RESUME_RUN`] or [`RESUME_POISON`]) and must never return: it ends by
-/// switching back to the scheduler forever.
+/// ([`RESUME_RUN`] or [`RESUME_POISON`]). When it returns, the fiber parks
+/// in the scheduler forever.
 pub(crate) type FiberFn = Box<dyn FnOnce(usize)>;
+
+/// What `Runtime::spawn` hands a fresh stack: the entry closure plus what
+/// the fiber needs to park itself once the closure has returned.
+struct FiberStart {
+    f: FiberFn,
+    rt: *const Runtime,
+    tid: usize,
+}
 
 // ---------------------------------------------------------------------------
 // Context switch (per architecture)
@@ -179,16 +187,23 @@ unsafe extern "C" fn fiber_entry(arg: *mut u8, msg: usize) -> ! {
 compile_error!("detsim's fiber runtime supports x86_64 and aarch64 only");
 
 fn fiber_entry_impl(arg: *mut u8, msg: usize) -> ! {
-    {
-        // Reclaim the double-boxed closure stashed by `Runtime::spawn`.
-        let f: Box<FiberFn> = unsafe { Box::from_raw(arg.cast()) };
-        f(msg);
+    // Reclaim the start record stashed by `Runtime::spawn`; unboxing frees
+    // it, and the closure's own box is freed when the call returns. Nothing
+    // on this stack owns heap memory past this block, so freeing the stack
+    // without unwinding it leaks nothing.
+    let (rt, tid) = {
+        // SAFETY: `arg` is the `Box<FiberStart>` leaked by `Runtime::spawn`
+        // for this stack, and a fresh stack is entered exactly once.
+        let start = *unsafe { Box::from_raw(arg.cast::<FiberStart>()) };
+        (start.f)(msg);
+        (start.rt, start.tid)
+    };
+    // A finished fiber is never resumed; there is no frame to return into.
+    loop {
+        // SAFETY: the runtime outlives every resumable fiber (it owns their
+        // stacks), and this is fiber `tid` switching out of its own stack.
+        unsafe { (*rt).yield_to_scheduler(tid, 0) };
     }
-    // The closure must end by parking itself in the runtime (it switches to
-    // the scheduler in a loop and is never resumed once finished). If it
-    // ever returns there is no frame to return into; fail loudly.
-    eprintln!("detsim: fiber entry returned — runtime bug");
-    std::process::abort();
 }
 
 // ---------------------------------------------------------------------------
@@ -294,12 +309,19 @@ impl Runtime {
 
     /// Allocate a stack for fiber `tid` (== current slot count) and arm it
     /// with `f`. Must be called for all fibers before the first `resume`.
+    /// The runtime must not move while fibers are resumable.
     pub(crate) fn spawn(&self, f: FiberFn, stack_size: usize) {
         let mut stack = FiberStack::new(stack_size);
-        // Double-box so a single thin pointer carries the fat closure.
-        let arg = Box::into_raw(Box::new(f)) as *mut u8;
+        let mut slots = self.slots.borrow_mut();
+        // Box the start record so a single thin pointer carries it.
+        let start = FiberStart {
+            f,
+            rt: self,
+            tid: slots.len(),
+        };
+        let arg = Box::into_raw(Box::new(start)) as *mut u8;
         let sp = Cell::new(stack.init_frame(arg));
-        self.slots.borrow_mut().push(FiberSlot { sp, stack });
+        slots.push(FiberSlot { sp, stack });
     }
 
     /// Scheduler side: run fiber `tid` until it switches back. Returns the

@@ -13,8 +13,10 @@
 //!
 //! Whenever the set of flows on any link changes, the affected flows'
 //! remaining byte counts are settled at the current instant, their rates
-//! recomputed, and their completion events re-projected. Stale completion
-//! events are invalidated with a per-flow generation counter.
+//! recomputed, and their completions re-projected. Each active flow owns
+//! exactly one entry in the completion queue ([`FlowQueue`]); a
+//! re-projection re-keys that entry in place, so no completion is ever
+//! stale.
 //!
 //! ## Performance notes
 //!
@@ -32,11 +34,13 @@
 //!   not clone the path and resharing never touches the heap.
 //! * The affected-flow set is a sorted-and-deduped scratch `Vec` reused
 //!   across reshares, replacing a `BTreeSet` rebuilt per membership change.
-//! * Completion events are [`EventKind::FlowFinish`] records, not boxed
-//!   closures; superseded projections are counted so the kernel can compact
-//!   them out of the heap (see [`Kernel::step`]).
+//! * Completions are `(time, seq, flow)` entries of an indexed binary heap,
+//!   not boxed closures. A re-projection takes a fresh `seq` from the
+//!   kernel's event counter — the key a newly pushed event would get — and
+//!   sifts the flow's one entry to it. [`Kernel::step`] pops whichever of
+//!   this queue and the event heap holds the smaller key.
 
-use crate::kernel::{push_event, Action, EventKind, Kernel};
+use crate::kernel::{Action, Kernel};
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 
@@ -120,20 +124,126 @@ struct Flow {
     total: u64,
     rate: f64,
     last_update: SimTime,
-    generation: u64,
     on_done: Option<Action>,
+}
+
+/// Position marker for a flow slot with no queued completion.
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// Projected flow completions: an indexed binary min-heap keyed by
+/// `(time, seq)`, holding at most one entry per flow slot. `pos` maps a
+/// slot to its heap index so a re-projection moves the entry in place
+/// instead of pushing a second one.
+pub(crate) struct FlowQueue {
+    heap: Vec<(SimTime, u64, FlowId)>,
+    pos: Vec<u32>,
+}
+
+impl FlowQueue {
+    fn new() -> Self {
+        FlowQueue {
+            heap: Vec::new(),
+            pos: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Key of the earliest completion.
+    pub(crate) fn peek(&self) -> Option<(SimTime, u64)> {
+        self.heap.first().map(|&(at, seq, _)| (at, seq))
+    }
+
+    /// Remove and return the earliest completion.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, FlowId)> {
+        let last = self.heap.len().checked_sub(1)?;
+        self.heap.swap(0, last);
+        let (at, _, fid) = self.heap.pop().expect("non-empty heap");
+        self.pos[fid.0] = NOT_QUEUED;
+        if last > 0 {
+            self.pos[self.heap[0].2 .0] = 0;
+            self.sift_down(0);
+        }
+        Some((at, fid))
+    }
+
+    /// Queue `fid`'s completion at `(at, seq)`, replacing its current entry.
+    fn set(&mut self, fid: FlowId, at: SimTime, seq: u64) {
+        if fid.0 >= self.pos.len() {
+            self.pos.resize(fid.0 + 1, NOT_QUEUED);
+        }
+        let entry = (at, seq, fid);
+        match self.pos[fid.0] {
+            NOT_QUEUED => {
+                self.heap.push(entry);
+                self.sift_up(self.heap.len() - 1);
+            }
+            i => {
+                let i = i as usize;
+                let old = self.heap[i];
+                self.heap[i] = entry;
+                if (at, seq) < (old.0, old.1) {
+                    self.sift_up(i);
+                } else {
+                    self.sift_down(i);
+                }
+            }
+        }
+    }
+
+    fn key(&self, i: usize) -> (SimTime, u64) {
+        (self.heap[i].0, self.heap[i].1)
+    }
+
+    fn place(&mut self, i: usize, entry: (SimTime, u64, FlowId)) {
+        self.pos[entry.2 .0] = i as u32;
+        self.heap[i] = entry;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.key(parent) <= (entry.0, entry.1) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.key(child + 1) < self.key(child) {
+                child += 1;
+            }
+            if (entry.0, entry.1) <= self.key(child) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, entry);
+    }
 }
 
 /// Container for links and flows; lives inside [`Kernel`].
 pub(crate) struct FlowNet {
     links: Vec<Link>,
     flows: Vec<Option<Flow>>,
-    /// Per-slot generation floor, persisted across slot reuse so that a
-    /// stale completion event scheduled for a *previous* occupant of a slot
-    /// can never match the current occupant's generation.
-    slot_gen: Vec<u64>,
     free: Vec<usize>,
     active: usize,
+    /// Projected completion of every active flow.
+    pub(crate) due: FlowQueue,
     /// Reusable affected-flow buffer for joins/leaves (never held across
     /// user callbacks).
     scratch: Vec<FlowId>,
@@ -144,33 +254,23 @@ impl FlowNet {
         FlowNet {
             links: Vec::new(),
             flows: Vec::new(),
-            slot_gen: Vec::new(),
             free: Vec::new(),
             active: 0,
+            due: FlowQueue::new(),
             scratch: Vec::new(),
         }
     }
 
-    fn alloc(&mut self, mut flow: Flow) -> FlowId {
+    fn alloc(&mut self, flow: Flow) -> FlowId {
         self.active += 1;
         if let Some(i) = self.free.pop() {
             debug_assert!(self.flows[i].is_none());
-            flow.generation = self.slot_gen[i];
             self.flows[i] = Some(flow);
             FlowId(i)
         } else {
             self.flows.push(Some(flow));
-            self.slot_gen.push(0);
             FlowId(self.flows.len() - 1)
         }
-    }
-
-    /// Whether a completion event for `(fid, gen)` still refers to the
-    /// current occupant of the slot at its current rate.
-    pub(crate) fn is_fresh(&self, fid: FlowId, gen: u64) -> bool {
-        self.flows[fid.0]
-            .as_ref()
-            .is_some_and(|f| f.generation == gen)
     }
 }
 
@@ -335,7 +435,7 @@ impl Kernel {
         &mut self,
         path: &[LinkId],
         bytes: u64,
-        on_done: impl FnOnce(&mut Kernel) + Send + 'static,
+        on_done: impl FnOnce(&mut Kernel) + 'static,
     ) {
         if path.is_empty() {
             self.schedule_in(SimDuration::ZERO, on_done);
@@ -364,7 +464,6 @@ impl Kernel {
             total: bytes,
             rate: 0.0,
             last_update: now,
-            generation: 0,
             on_done: Some(on_done),
         });
         let mut affected = std::mem::take(&mut self.flows.scratch);
@@ -401,7 +500,7 @@ impl Kernel {
 
     /// Settle remaining bytes and recompute rates for `affected` flows
     /// (duplicates welcome; the buffer is sorted and deduped in place), then
-    /// re-project their completion events.
+    /// re-project their completions.
     ///
     /// Flows are processed in ascending id order — the same order the
     /// original `BTreeSet`-based implementation used — because link
@@ -412,9 +511,9 @@ impl Kernel {
         affected.dedup();
         let now = self.now();
         let net = &mut self.flows;
-        let (links, flows, slot_gen) = (&mut net.links, &mut net.flows, &net.slot_gen);
+        let (links, flows, due) = (&mut net.links, &mut net.flows, &mut net.due);
         let metrics = &mut self.metrics;
-        let (queue, next_seq) = (&mut self.queue, &mut self.next_seq);
+        let next_seq = &mut self.next_seq;
         for &fid in affected.iter() {
             let Some(flow) = flows[fid.0].as_mut() else {
                 continue; // completed in the meantime
@@ -433,20 +532,9 @@ impl Kernel {
             flow.remaining = (flow.remaining - flow.rate * dt).max(0.0);
             flow.last_update = now;
             flow.rate = rate;
-            if flow.generation > slot_gen[fid.0] {
-                // This flow already had a projected completion; bumping the
-                // generation supersedes it.
-                self.stale_pending += 1;
-            }
-            flow.generation += 1;
-            let gen = flow.generation;
             let eta = SimDuration::from_secs_f64(flow.remaining / rate);
-            push_event(
-                queue,
-                next_seq,
-                now + eta,
-                EventKind::FlowFinish { fid, gen },
-            );
+            due.set(fid, now + eta, *next_seq);
+            *next_seq += 1;
         }
         // Record utilization peaks only after the whole batch settles.
         for &fid in affected.iter() {
@@ -463,16 +551,10 @@ impl Kernel {
     }
 
     /// Deliver a flow's last byte: detach it from its links, reshare the
-    /// survivors, and run its callback. Called by the event loop for fresh
-    /// [`EventKind::FlowFinish`] events.
-    pub(crate) fn finish_flow(&mut self, fid: FlowId, gen: u64) {
-        if !self.flows.is_fresh(fid, gen) {
-            return; // superseded by a rate change
-        }
+    /// survivors, and run its callback. Called by the event loop when the
+    /// flow's completion reaches the head of the queue.
+    pub(crate) fn finish_flow(&mut self, fid: FlowId) {
         let mut flow = self.flows.flows[fid.0].take().expect("flow vanished");
-        // Outstanding (stale) events carry generations <= flow.generation;
-        // start the next occupant of this slot above all of them.
-        self.flows.slot_gen[fid.0] = flow.generation + 1;
         self.flows.free.push(fid.0);
         self.flows.active -= 1;
         let now = self.now();
@@ -530,22 +612,49 @@ mod tests {
     use super::*;
     use crate::kernel::Kernel;
     use crate::time::PS_PER_SEC;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
-    fn finish_time(k: &mut Kernel, done: &Arc<AtomicU64>) -> f64 {
+    fn finish_time(k: &mut Kernel, done: &Rc<Cell<u64>>) -> f64 {
         k.run_to_completion();
-        assert!(done.load(Ordering::SeqCst) > 0, "flow never finished");
+        assert!(done.get() > 0, "flow never finished");
         k.now().as_secs_f64()
     }
 
-    fn make_done(k: &mut Kernel) -> (Arc<AtomicU64>, impl FnOnce(&mut Kernel) + Send + 'static) {
+    fn make_done(k: &mut Kernel) -> (Rc<Cell<u64>>, impl FnOnce(&mut Kernel) + 'static) {
         let _ = k;
-        let done = Arc::new(AtomicU64::new(0));
-        let d2 = Arc::clone(&done);
-        (done, move |k: &mut Kernel| {
-            d2.store(k.now().picos().max(1), Ordering::SeqCst);
-        })
+        let done = Rc::new(Cell::new(0));
+        let d2 = Rc::clone(&done);
+        (done, move |k: &mut Kernel| d2.set(k.now().picos().max(1)))
+    }
+
+    #[test]
+    fn flow_queue_pops_in_key_order_after_rekeys() {
+        // Re-key entries up and down in place and check the pop order
+        // against a sort of the final keys.
+        let mut q = FlowQueue::new();
+        let mut want = Vec::new();
+        let mut x = 12345u64;
+        for f in 0..64usize {
+            for seq in 0..3u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let at = SimTime::ZERO + SimDuration::from_picos(x >> 54);
+                q.set(FlowId(f), at, f as u64 * 3 + seq);
+                if seq == 2 {
+                    want.push((at, f as u64 * 3 + seq, f));
+                }
+            }
+        }
+        assert_eq!(q.len(), 64, "one entry per flow");
+        want.sort();
+        let mut got = Vec::new();
+        while let Some((at, fid)) = q.pop() {
+            got.push((at, fid.0));
+        }
+        let want: Vec<_> = want.into_iter().map(|(at, _, f)| (at, f)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -578,8 +687,8 @@ mod tests {
         k.start_flow(&[l], 100, cb2);
         k.run_to_completion();
         // Each gets 50 B/s -> both finish at t=2.
-        let t1 = done.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
-        let t2 = done2.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let t1 = done.get() as f64 / PS_PER_SEC as f64;
+        let t2 = done2.get() as f64 / PS_PER_SEC as f64;
         assert!((t1 - 2.0).abs() < 1e-9, "t1={t1}");
         assert!((t2 - 2.0).abs() < 1e-9, "t2={t2}");
     }
@@ -597,10 +706,10 @@ mod tests {
         });
         k.run_to_completion();
         // flow1: 50B at 100B/s then 50B at 50B/s -> done at t=1.5
-        let t1 = done.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let t1 = done.get() as f64 / PS_PER_SEC as f64;
         assert!((t1 - 1.5).abs() < 1e-6, "t1={t1}");
         // flow2: 50B at 50B/s (until t=1.5), then 50B at 100B/s -> t=2.0
-        let t2 = done2.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let t2 = done2.get() as f64 / PS_PER_SEC as f64;
         assert!((t2 - 2.0).abs() < 1e-6, "t2={t2}");
     }
 
@@ -622,7 +731,7 @@ mod tests {
         k.start_flow(&[], 12345, cb);
         k.run_to_completion();
         assert_eq!(k.now(), SimTime::ZERO);
-        assert!(done.load(Ordering::SeqCst) > 0);
+        assert!(done.get() > 0);
     }
 
     #[test]
@@ -633,7 +742,7 @@ mod tests {
         k.start_flow(&[l], 0, cb);
         k.run_to_completion();
         assert_eq!(k.now(), SimTime::ZERO + SimDuration::from_micros(7));
-        assert!(done.load(Ordering::SeqCst) > 0);
+        assert!(done.get() > 0);
     }
 
     #[test]
@@ -658,8 +767,8 @@ mod tests {
         k.start_flow(&[a], 100, cb_a);
         k.start_flow(&[b], 100, cb_b);
         k.run_to_completion();
-        let ta = done_a.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
-        let tb = done_b.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let ta = done_a.get() as f64 / PS_PER_SEC as f64;
+        let tb = done_b.get() as f64 / PS_PER_SEC as f64;
         assert!((ta - 1.0).abs() < 1e-9);
         assert!((tb - 1.0).abs() < 1e-9);
     }
@@ -668,21 +777,21 @@ mod tests {
     fn many_flows_conserve_bytes() {
         let mut k = Kernel::new();
         let l = k.add_link("l", 1e9, SimDuration::from_micros(1));
-        let total = Arc::new(AtomicU64::new(0));
+        let total = Rc::new(Cell::new(0));
         let mut expected = 0u64;
         for i in 1..=64u64 {
             let bytes = i * 1000;
             expected += bytes;
-            let total = Arc::clone(&total);
+            let total = Rc::clone(&total);
             // stagger starts
             k.schedule_in(SimDuration::from_nanos(i * 100), move |k| {
                 k.start_flow(&[l], bytes, move |_| {
-                    total.fetch_add(bytes, Ordering::SeqCst);
+                    total.set(total.get() + bytes);
                 });
             });
         }
         k.run_to_completion();
-        assert_eq!(total.load(Ordering::SeqCst), expected);
+        assert_eq!(total.get(), expected);
         assert_eq!(k.link_delivered(l), expected);
         assert_eq!(k.active_flows(), 0);
     }
@@ -733,8 +842,8 @@ mod tests {
             k.set_link_capacity(a, 10.0);
         });
         k.run_to_completion();
-        let ta = done_a.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
-        let tb = done_b.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let ta = done_a.get() as f64 / PS_PER_SEC as f64;
+        let tb = done_b.get() as f64 / PS_PER_SEC as f64;
         // a: 50 B at 100 B/s then 50 B at 10 B/s -> 5.5s; b untouched.
         assert!((ta - 5.5).abs() < 1e-6, "ta={ta}");
         assert!((tb - 1.0).abs() < 1e-9, "tb={tb}");
@@ -786,7 +895,7 @@ mod tests {
                 });
             }
             k.run_to_completion();
-            done.load(Ordering::SeqCst)
+            done.get()
         };
         assert_eq!(
             run(false),
@@ -811,8 +920,8 @@ mod tests {
             k.start_flow(&[l], 100, cb2);
         });
         k.run_to_completion();
-        let t1 = done.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
-        let t2 = done2.load(Ordering::SeqCst) as f64 / PS_PER_SEC as f64;
+        let t1 = done.get() as f64 / PS_PER_SEC as f64;
+        let t2 = done2.get() as f64 / PS_PER_SEC as f64;
         assert!((t1 - 1.25).abs() < 1e-9, "t1={t1}");
         assert!((t2 - 4.0).abs() < 1e-9, "t2={t2}");
     }

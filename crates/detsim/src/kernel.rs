@@ -2,31 +2,33 @@
 //! one-shot completions.
 //!
 //! All simulation state (links, flows, FIFOs, traces, scheduler bookkeeping)
-//! hangs off [`Kernel`]. Exactly one thread touches the kernel at a time (it
-//! lives behind a mutex owned by [`crate::Sim`]), so event callbacks get
-//! `&mut Kernel` and can mutate anything.
+//! hangs off [`Kernel`]. A world lives on one OS thread and the kernel sits
+//! in a `RefCell` owned by [`crate::Sim`], so event callbacks get
+//! `&mut Kernel` and can mutate anything; a nested borrow is a bug and
+//! panics.
 //!
 //! Determinism: events are ordered by `(time, sequence-number)` where the
 //! sequence number is assigned at scheduling time. Two events scheduled for
 //! the same instant therefore execute in scheduling order, independent of
-//! heap internals.
+//! heap internals. Flow completions live in their own indexed queue (one
+//! entry per active flow, see [`crate::flow`]) and are merged with the event
+//! heap by the same key.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::fifo::FifoTable;
-use crate::flow::{FlowId, FlowNet};
+use crate::flow::FlowNet;
 use crate::metrics::Metrics;
 use crate::sched::SchedState;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 
 /// A callback run by the event loop. Runs at most once.
-pub type Action = Box<dyn FnOnce(&mut Kernel) + Send>;
+pub type Action = Box<dyn FnOnce(&mut Kernel)>;
 
 /// A type-erased `FnOnce(&mut Kernel)` that stores one-word closures inline
 /// instead of boxing them.
@@ -37,8 +39,7 @@ pub type Action = Box<dyn FnOnce(&mut Kernel) + Send>;
 /// don't fit in one word fall back to a (thin) box, transparently. The
 /// whole thing is two words — payload plus a `&'static` vtable — which
 /// keeps `Event` at the same size the old fat-boxed `Action` gave it:
-/// growing events would slow every `BinaryHeap` sift for *all* event kinds,
-/// including the flow completions that dominate paper-scale heaps.
+/// growing events would slow every `BinaryHeap` sift.
 pub(crate) struct SmallAction {
     data: MaybeUninit<*mut ()>,
     vtable: &'static ActionVTable,
@@ -49,12 +50,8 @@ struct ActionVTable {
     drop: unsafe fn(*mut *mut ()),
 }
 
-// SAFETY: constructed only from `F: Send` closures (enforced by `new`), and
-// the vtable functions only touch that F.
-unsafe impl Send for SmallAction {}
-
 impl SmallAction {
-    pub(crate) fn new<F: FnOnce(&mut Kernel) + Send + 'static>(f: F) -> Self {
+    pub(crate) fn new<F: FnOnce(&mut Kernel) + 'static>(f: F) -> Self {
         let mut data = MaybeUninit::<*mut ()>::uninit();
         if size_of::<F>() <= size_of::<*mut ()>() && align_of::<F>() <= align_of::<*mut ()>() {
             unsafe { data.as_mut_ptr().cast::<F>().write(f) };
@@ -109,20 +106,13 @@ unsafe fn drop_boxed<F>(data: *mut *mut ()) {
     drop(unsafe { Box::from_raw(data.cast::<*mut F>().read()) });
 }
 
-/// What happens when an event fires. Flow completions — by far the most
-/// common event at paper scale, and the only kind that is routinely
-/// superseded — are a plain enum variant instead of a boxed closure, so
-/// re-projecting a flow allocates nothing and a stale completion can be
-/// recognized (and dropped) without executing it. Timer wakes (the
-/// `SimCtx::delay` fast path) are likewise a bare variant: waking a rank
-/// needs no completion object at all.
+/// What happens when an event fires. Timer wakes (the `SimCtx::delay` fast
+/// path) are a bare variant: waking a rank needs no completion object at
+/// all. Flow completions are not events; they live in the flow network's
+/// own queue.
 pub(crate) enum EventKind {
     /// Run a callback (inline if small, boxed otherwise).
     Call(SmallAction),
-    /// Deliver the last byte of flow `fid`, provided its generation still
-    /// equals `gen` (otherwise the event is stale: the flow was re-rated or
-    /// already finished and the slot possibly reused).
-    FlowFinish { fid: FlowId, gen: u64 },
     /// Wake rank `tid` from a `SimCtx::delay`, provided `token` is still
     /// the wake it is armed for (see `SchedState::fire_wake`).
     Wake { tid: usize, token: u64 },
@@ -133,24 +123,6 @@ pub(crate) struct Event {
     seq: u64,
     kind: EventKind,
 }
-
-/// Append an event to a queue, assigning the next sequence number. A free
-/// function (not a method) so the flow network can schedule completions
-/// while holding disjoint borrows of other kernel fields.
-pub(crate) fn push_event(
-    queue: &mut BinaryHeap<Event>,
-    next_seq: &mut u64,
-    at: SimTime,
-    kind: EventKind,
-) {
-    let seq = *next_seq;
-    *next_seq += 1;
-    queue.push(Event { at, seq, kind });
-}
-
-/// Compact the heap once at least this many stale completions accumulated
-/// (and they make up at least half the queue — see [`Kernel::step`]).
-const STALE_COMPACT_MIN: usize = 4096;
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -183,24 +155,24 @@ enum CompletionState {
 
 /// A one-shot completion signal.
 ///
-/// Threads block on completions via [`crate::SimCtx::wait`]; event callbacks
+/// Ranks block on completions via [`crate::SimCtx::wait`]; event callbacks
 /// chain off them via [`Kernel::on_complete`]. Cloning yields another handle
-/// to the same underlying signal.
+/// to the same underlying signal. Like the rest of a world, completions
+/// belong to the thread that runs it.
 #[derive(Clone)]
-pub struct Completion(Arc<Mutex<CompletionState>>);
+pub struct Completion(Rc<RefCell<CompletionState>>);
 
 impl Completion {
     pub(crate) fn new() -> Self {
-        Completion(Arc::new(Mutex::new(CompletionState::Pending {
+        Completion(Rc::new(RefCell::new(CompletionState::Pending {
             waiters: Vec::new(),
             callbacks: Vec::new(),
         })))
     }
 
-    /// Whether the completion has fired. Only meaningful while holding the
-    /// kernel lock (i.e. from sim threads or event callbacks).
+    /// Whether the completion has fired.
     pub fn is_done(&self) -> bool {
-        matches!(*self.0.lock(), CompletionState::Done)
+        matches!(*self.0.borrow(), CompletionState::Done)
     }
 }
 
@@ -227,14 +199,6 @@ pub struct Kernel {
     /// Metrics registry (counters, gauges, histograms); disabled by default.
     pub metrics: Metrics,
     executed_events: u64,
-    /// Flow-completion events still queued whose generation no longer
-    /// matches their flow — bumped by the flow network on every
-    /// re-projection, decremented as stale events are skipped or compacted.
-    pub(crate) stale_pending: usize,
-    /// Stale completions discarded so far (skipped at pop or compacted).
-    stale_dropped: u64,
-    /// Times the event heap was rebuilt to shed stale completions.
-    compactions: u64,
 }
 
 impl Default for Kernel {
@@ -256,9 +220,6 @@ impl Kernel {
             trace: Trace::new(),
             metrics: Metrics::new(),
             executed_events: 0,
-            stale_pending: 0,
-            stale_dropped: 0,
-            compactions: 0,
         }
     }
 
@@ -268,39 +229,44 @@ impl Kernel {
         self.now
     }
 
-    /// Number of events executed so far (diagnostics). Stale flow
-    /// completions are skipped, not executed, and do not count.
+    /// Number of events executed so far, flow completions included
+    /// (diagnostics).
     pub fn executed_events(&self) -> u64 {
         self.executed_events
     }
 
-    /// Stale flow-completion events discarded so far (diagnostics).
+    /// Superseded flow completions discarded so far. Always 0: a reshare
+    /// re-keys a flow's single queue entry in place, so no completion is
+    /// ever stale. Kept for callers that report it.
     pub fn stale_events_dropped(&self) -> u64 {
-        self.stale_dropped
+        0
     }
 
-    /// Times the event heap was compacted to shed stale completions
-    /// (diagnostics).
+    /// Times the event queue was compacted. Always 0, for the same reason
+    /// as [`Kernel::stale_events_dropped`].
     pub fn heap_compactions(&self) -> u64 {
-        self.compactions
+        0
     }
 
-    /// Events currently queued, live and stale (diagnostics).
+    /// Entries currently queued: scheduled events plus one completion per
+    /// active flow (diagnostics).
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.flows.due.len()
+    }
+
+    /// Push an event, assigning the next sequence number.
+    fn push_event(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(Event { at, seq, kind });
     }
 
     /// Schedule `action` to run at absolute time `at`. Scheduling into the
     /// past is clamped to "now" (it still runs strictly after the current
     /// callback returns).
-    pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Kernel) + Send + 'static) {
+    pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Kernel) + 'static) {
         let at = at.max(self.now);
-        push_event(
-            &mut self.queue,
-            &mut self.next_seq,
-            at,
-            EventKind::Call(SmallAction::new(action)),
-        );
+        self.push_event(at, EventKind::Call(SmallAction::new(action)));
     }
 
     /// Arm and schedule a bare timer wake for rank `tid`, `d` from now: the
@@ -309,20 +275,19 @@ impl Kernel {
     /// unchanged — but no completion allocation and no callback.
     pub(crate) fn schedule_wake(&mut self, tid: usize, d: SimDuration) {
         let token = self.sched.arm_wake(tid);
-        push_event(
-            &mut self.queue,
-            &mut self.next_seq,
-            self.now + d,
-            EventKind::Wake { tid, token },
-        );
+        self.push_event(self.now + d, EventKind::Wake { tid, token });
+    }
+
+    /// Make rank `tid` runnable if it is blocked — the wake half of
+    /// [`crate::SimCtx::park`]. A no-op for a rank that is running, ready
+    /// or finished. Granting order is unchanged: woken ranks still receive
+    /// the token in ascending id order once the current event returns.
+    pub fn wake(&mut self, tid: usize) {
+        self.sched.make_runnable(tid);
     }
 
     /// Schedule `action` to run `d` from now.
-    pub fn schedule_in(
-        &mut self,
-        d: SimDuration,
-        action: impl FnOnce(&mut Kernel) + Send + 'static,
-    ) {
+    pub fn schedule_in(&mut self, d: SimDuration, action: impl FnOnce(&mut Kernel) + 'static) {
         self.schedule_at(self.now + d, action);
     }
 
@@ -348,16 +313,13 @@ impl Kernel {
             self.complete(&all);
             return all;
         }
-        let count = Arc::new(Mutex::new(pending.len()));
+        let count = Rc::new(Cell::new(pending.len()));
         for part in pending {
             let all = all.clone();
-            let count = Arc::clone(&count);
+            let count = Rc::clone(&count);
             self.on_complete(part, move |k| {
-                let mut n = count.lock();
-                *n -= 1;
-                let zero = *n == 0;
-                drop(n);
-                if zero {
+                count.set(count.get() - 1);
+                if count.get() == 0 {
                     k.complete(&all);
                 }
             });
@@ -368,7 +330,7 @@ impl Kernel {
     /// Fire a completion: wake all waiting threads and run all chained
     /// callbacks (in registration order). Completing twice is a no-op.
     pub fn complete(&mut self, c: &Completion) {
-        let prev = std::mem::replace(&mut *c.0.lock(), CompletionState::Done);
+        let prev = c.0.replace(CompletionState::Done);
         if let CompletionState::Pending { waiters, callbacks } = prev {
             for tid in waiters {
                 self.sched.make_runnable(tid);
@@ -380,12 +342,8 @@ impl Kernel {
     }
 
     /// Run `action` when `c` completes; immediately if it already has.
-    pub fn on_complete(
-        &mut self,
-        c: &Completion,
-        action: impl FnOnce(&mut Kernel) + Send + 'static,
-    ) {
-        let mut st = c.0.lock();
+    pub fn on_complete(&mut self, c: &Completion, action: impl FnOnce(&mut Kernel) + 'static) {
+        let mut st = c.0.borrow_mut();
         match &mut *st {
             CompletionState::Pending { callbacks, .. } => {
                 callbacks.push(SmallAction::new(action));
@@ -400,7 +358,7 @@ impl Kernel {
     /// Register sim thread `tid` as a waiter. Returns `true` if the
     /// completion was already done (no registration happened).
     pub(crate) fn add_waiter(&mut self, c: &Completion, tid: usize) -> bool {
-        let mut st = c.0.lock();
+        let mut st = c.0.borrow_mut();
         match &mut *st {
             CompletionState::Pending { waiters, .. } => {
                 waiters.push(tid);
@@ -412,70 +370,40 @@ impl Kernel {
 
     /// Whether any events remain queued.
     pub fn has_pending_events(&self) -> bool {
-        !self.queue.is_empty()
+        !self.queue.is_empty() || self.flows.due.len() > 0
     }
 
-    /// Execute the earliest pending event (advancing the clock to it).
-    /// Returns `false` if the queue was empty.
+    /// Execute the earliest pending event or flow completion (advancing the
+    /// clock to it). Returns `false` if nothing was queued.
     ///
-    /// A stale flow completion (generation mismatch) is discarded without
-    /// advancing the clock or counting as executed; the call still returns
-    /// `true` because the queue made progress. When enough stale events
-    /// accumulate (`STALE_COMPACT_MIN`, and at least half the queue), the
-    /// heap is rebuilt without them so their `O(log n)` sift cost and
-    /// memory are not paid for the rest of the run.
+    /// The event heap and the flow-completion queue are merged by their
+    /// `(time, seq)` keys, which are unique because both draw `seq` from
+    /// the same counter: the pop order is the one a single queue would give.
     pub fn step(&mut self) -> bool {
-        if self.stale_pending >= STALE_COMPACT_MIN && self.stale_pending * 2 >= self.queue.len() {
-            self.compact_queue();
+        let flow_first = match (self.flows.due.peek(), self.queue.peek()) {
+            (Some(f), Some(ev)) => f < (ev.at, ev.seq),
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if flow_first {
+            let (at, fid) = self.flows.due.pop().expect("peeked flow completion");
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
+            self.executed_events += 1;
+            self.finish_flow(fid);
+            return true;
         }
-        match self.queue.pop() {
-            Some(ev) => {
-                match ev.kind {
-                    EventKind::Call(action) => {
-                        debug_assert!(ev.at >= self.now, "event queue went backwards");
-                        self.now = ev.at;
-                        self.executed_events += 1;
-                        action.call(self);
-                    }
-                    EventKind::Wake { tid, token } => {
-                        debug_assert!(ev.at >= self.now, "event queue went backwards");
-                        self.now = ev.at;
-                        self.executed_events += 1;
-                        self.sched.fire_wake(tid, token);
-                    }
-                    EventKind::FlowFinish { fid, gen } => {
-                        if self.flows.is_fresh(fid, gen) {
-                            debug_assert!(ev.at >= self.now, "event queue went backwards");
-                            self.now = ev.at;
-                            self.executed_events += 1;
-                            self.finish_flow(fid, gen);
-                        } else {
-                            self.stale_pending = self.stale_pending.saturating_sub(1);
-                            self.stale_dropped += 1;
-                        }
-                    }
-                }
-                true
-            }
-            None => false,
+        let Some(ev) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(ev.at >= self.now, "event queue went backwards");
+        self.now = ev.at;
+        self.executed_events += 1;
+        match ev.kind {
+            EventKind::Call(action) => action.call(self),
+            EventKind::Wake { tid, token } => self.sched.fire_wake(tid, token),
         }
-    }
-
-    /// Rebuild the event heap without stale flow completions. Pop order of
-    /// the survivors is unchanged: the comparator is the same and `(time,
-    /// seq)` keys are unique.
-    fn compact_queue(&mut self) {
-        let before = self.queue.len();
-        let mut events = std::mem::take(&mut self.queue).into_vec();
-        events.retain(|ev| match ev.kind {
-            EventKind::Call(_) | EventKind::Wake { .. } => true,
-            EventKind::FlowFinish { fid, gen } => self.flows.is_fresh(fid, gen),
-        });
-        let dropped = before - events.len();
-        self.queue = BinaryHeap::from(events);
-        self.stale_pending = self.stale_pending.saturating_sub(dropped);
-        self.stale_dropped += dropped as u64;
-        self.compactions += 1;
+        true
     }
 
     /// Run the event loop until the queue drains. For pure event-driven
@@ -503,42 +431,46 @@ mod tests {
     #[test]
     fn events_execute_in_time_order() {
         let mut k = Kernel::new();
-        let log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![]));
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
         for (i, us) in [(1u32, 30u64), (2, 10), (3, 20)] {
-            let log = Arc::clone(&log);
-            k.schedule_in(SimDuration::from_micros(us), move |_| log.lock().push(i));
+            let log = Rc::clone(&log);
+            k.schedule_in(SimDuration::from_micros(us), move |_| {
+                log.borrow_mut().push(i)
+            });
         }
         k.run_to_completion();
-        assert_eq!(*log.lock(), vec![2, 3, 1]);
+        assert_eq!(*log.borrow_mut(), vec![2, 3, 1]);
         assert_eq!(k.now(), SimTime::ZERO + SimDuration::from_micros(30));
     }
 
     #[test]
     fn same_time_events_execute_in_schedule_order() {
         let mut k = Kernel::new();
-        let log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![]));
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
         for i in 0..100u32 {
-            let log = Arc::clone(&log);
-            k.schedule_in(SimDuration::from_micros(5), move |_| log.lock().push(i));
+            let log = Rc::clone(&log);
+            k.schedule_in(SimDuration::from_micros(5), move |_| {
+                log.borrow_mut().push(i)
+            });
         }
         k.run_to_completion();
-        assert_eq!(*log.lock(), (0..100).collect::<Vec<_>>());
+        assert_eq!(*log.borrow_mut(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn nested_scheduling_from_callbacks() {
         let mut k = Kernel::new();
-        let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(vec![]));
-        let l2 = Arc::clone(&log);
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(vec![]));
+        let l2 = Rc::clone(&log);
         k.schedule_in(SimDuration::from_micros(1), move |k| {
-            l2.lock().push("outer");
-            let l3 = Arc::clone(&l2);
+            l2.borrow_mut().push("outer");
+            let l3 = Rc::clone(&l2);
             k.schedule_in(SimDuration::from_micros(1), move |_| {
-                l3.lock().push("inner");
+                l3.borrow_mut().push("inner");
             });
         });
         k.run_to_completion();
-        assert_eq!(*log.lock(), vec!["outer", "inner"]);
+        assert_eq!(*log.borrow_mut(), vec!["outer", "inner"]);
         assert_eq!(k.now(), SimTime::ZERO + SimDuration::from_micros(2));
     }
 
@@ -546,15 +478,15 @@ mod tests {
     fn completion_fires_callbacks_in_order() {
         let mut k = Kernel::new();
         let c = k.completion();
-        let log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![]));
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
         for i in 0..5u32 {
-            let log = Arc::clone(&log);
-            k.on_complete(&c, move |_| log.lock().push(i));
+            let log = Rc::clone(&log);
+            k.on_complete(&c, move |_| log.borrow_mut().push(i));
         }
         assert!(!c.is_done());
         k.complete(&c);
         assert!(c.is_done());
-        assert_eq!(*log.lock(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(*log.borrow_mut(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -562,22 +494,22 @@ mod tests {
         let mut k = Kernel::new();
         let c = k.completion();
         k.complete(&c);
-        let hit = Arc::new(Mutex::new(false));
-        let h2 = Arc::clone(&hit);
-        k.on_complete(&c, move |_| *h2.lock() = true);
-        assert!(*hit.lock());
+        let hit = Rc::new(RefCell::new(false));
+        let h2 = Rc::clone(&hit);
+        k.on_complete(&c, move |_| *h2.borrow_mut() = true);
+        assert!(*hit.borrow_mut());
     }
 
     #[test]
     fn double_complete_is_noop() {
         let mut k = Kernel::new();
         let c = k.completion();
-        let hits = Arc::new(Mutex::new(0));
-        let h2 = Arc::clone(&hits);
-        k.on_complete(&c, move |_| *h2.lock() += 1);
+        let hits = Rc::new(RefCell::new(0));
+        let h2 = Rc::clone(&hits);
+        k.on_complete(&c, move |_| *h2.borrow_mut() += 1);
         k.complete(&c);
         k.complete(&c);
-        assert_eq!(*hits.lock(), 1);
+        assert_eq!(*hits.borrow_mut(), 1);
     }
 
     #[test]
@@ -607,16 +539,16 @@ mod tests {
     #[test]
     fn schedule_into_past_clamps_to_now() {
         let mut k = Kernel::new();
-        let fired_at = Arc::new(Mutex::new(SimTime::ZERO));
-        let f2 = Arc::clone(&fired_at);
+        let fired_at = Rc::new(RefCell::new(SimTime::ZERO));
+        let f2 = Rc::clone(&fired_at);
         k.schedule_in(SimDuration::from_micros(10), move |k| {
-            let f3 = Arc::clone(&f2);
+            let f3 = Rc::clone(&f2);
             // deliberately "before now"
-            k.schedule_at(SimTime::ZERO, move |k| *f3.lock() = k.now());
+            k.schedule_at(SimTime::ZERO, move |k| *f3.borrow_mut() = k.now());
         });
         k.run_to_completion();
         assert_eq!(
-            *fired_at.lock(),
+            *fired_at.borrow_mut(),
             SimTime::ZERO + SimDuration::from_micros(10)
         );
     }

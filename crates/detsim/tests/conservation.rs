@@ -1,22 +1,22 @@
 #[test]
 fn staggered_flows_respect_capacity() {
     use detsim::{Kernel, SimDuration};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
     let mut k = Kernel::new();
     let l = k.add_link("l", 25e9, SimDuration::from_micros(1));
-    let last_end = Arc::new(AtomicU64::new(0));
+    let last_end = Rc::new(Cell::new(0));
     // 100 flows of 4 MB each, staggered 10us apart: 400 MB over 25 GB/s = 16 ms minimum
     for i in 0..100u64 {
-        let le = Arc::clone(&last_end);
+        let le = Rc::clone(&last_end);
         k.schedule_in(SimDuration::from_micros(10 * i), move |k| {
             k.start_flow(&[l], 4_000_000, move |k| {
-                le.fetch_max(k.now().picos(), Ordering::SeqCst);
+                le.set(le.get().max(k.now().picos()));
             });
         });
     }
     k.run_to_completion();
-    let end_s = last_end.load(Ordering::SeqCst) as f64 / 1e12;
+    let end_s = last_end.get() as f64 / 1e12;
     println!("last end: {:.3} ms", end_s * 1e3);
     assert!(end_s >= 0.016, "conservation violated: {end_s}");
 }
@@ -24,8 +24,8 @@ fn staggered_flows_respect_capacity() {
 #[test]
 fn random_staggered_flows_never_exceed_capacity() {
     use detsim::{Kernel, SimDuration};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
     let mut state = 42u64;
     let mut rnd = move || {
         state = state
@@ -37,26 +37,25 @@ fn random_staggered_flows_never_exceed_capacity() {
         let mut k = Kernel::new();
         let cap = 25e9;
         let l = k.add_link("l", cap, SimDuration::from_micros(1));
-        let last_end = Arc::new(AtomicU64::new(0));
-        let first_start = Arc::new(AtomicU64::new(u64::MAX));
+        let last_end = Rc::new(Cell::new(0));
+        let first_start = Rc::new(Cell::new(u64::MAX));
         let mut total = 0u64;
         let n = 20 + rnd() % 200;
         for _ in 0..n {
             let bytes = 1000 + rnd() % 20_000_000;
             total += bytes;
             let at = SimDuration::from_nanos(rnd() % 3_000_000);
-            let le = Arc::clone(&last_end);
-            let fs = Arc::clone(&first_start);
+            let le = Rc::clone(&last_end);
+            let fs = Rc::clone(&first_start);
             k.schedule_in(at, move |k| {
-                fs.fetch_min(k.now().picos(), Ordering::SeqCst);
+                fs.set(fs.get().min(k.now().picos()));
                 k.start_flow(&[l], bytes, move |k| {
-                    le.fetch_max(k.now().picos(), Ordering::SeqCst);
+                    le.set(le.get().max(k.now().picos()));
                 });
             });
         }
         k.run_to_completion();
-        let window =
-            (last_end.load(Ordering::SeqCst) - first_start.load(Ordering::SeqCst)) as f64 / 1e12;
+        let window = (last_end.get() - first_start.get()) as f64 / 1e12;
         let floor = total as f64 / cap;
         assert!(
             window >= floor * 0.999,

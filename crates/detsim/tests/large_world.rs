@@ -6,8 +6,8 @@
 //! allocation, so a full-Summit world (4608 nodes × 6 ranks) is an
 //! ordinary test case. See `docs/RUNTIME.md` for the execution model.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use detsim::{Sim, SimDuration};
 
@@ -16,8 +16,8 @@ const FULL_SUMMIT_RANKS: usize = 27_648;
 
 #[test]
 fn full_summit_world_spawns_runs_and_tears_down() {
-    let ran = Arc::new(AtomicUsize::new(0));
-    let r2 = Arc::clone(&ran);
+    let ran = Rc::new(Cell::new(0));
+    let r2 = Rc::clone(&ran);
     let mut sim = Sim::new();
     sim.run(FULL_SUMMIT_RANKS, move |ctx| {
         // Every rank advances virtual time and yields at least once, so the
@@ -25,9 +25,9 @@ fn full_summit_world_spawns_runs_and_tears_down() {
         // each rank to completion in isolation.
         ctx.delay(SimDuration::from_nanos((ctx.tid() % 97) as u64));
         ctx.yield_now();
-        r2.fetch_add(1, Ordering::Relaxed);
+        r2.set(r2.get() + 1);
     });
-    assert_eq!(ran.load(Ordering::Relaxed), FULL_SUMMIT_RANKS);
+    assert_eq!(ran.get(), FULL_SUMMIT_RANKS);
 }
 
 #[test]
@@ -36,13 +36,13 @@ fn full_summit_world_repeated_runs_reuse_cleanly() {
     // the first world would corrupt the second.
     let mut sim = Sim::new();
     for round in 0..2u64 {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h2 = Arc::clone(&hits);
+        let hits = Rc::new(Cell::new(0));
+        let h2 = Rc::clone(&hits);
         sim.run(FULL_SUMMIT_RANKS, move |ctx| {
             ctx.delay(SimDuration::from_nanos(round + 1));
-            h2.fetch_add(1, Ordering::Relaxed);
+            h2.set(h2.get() + 1);
         });
-        assert_eq!(hits.load(Ordering::Relaxed), FULL_SUMMIT_RANKS);
+        assert_eq!(hits.get(), FULL_SUMMIT_RANKS);
     }
 }
 
@@ -52,18 +52,18 @@ fn large_world_virtual_times_are_deterministic() {
     // on every run (scheduling order is part of the determinism contract).
     let run_once = || {
         let mut sim = Sim::new();
-        let end = Arc::new(parking_lot::Mutex::new(detsim::SimTime::ZERO));
-        let e2 = Arc::clone(&end);
+        let end = Rc::new(RefCell::new(detsim::SimTime::ZERO));
+        let e2 = Rc::clone(&end);
         sim.run(FULL_SUMMIT_RANKS, move |ctx| {
             ctx.delay(SimDuration::from_nanos((ctx.tid() as u64 * 37) % 1009));
             ctx.yield_now();
             ctx.delay(SimDuration::from_nanos((ctx.tid() as u64 * 11) % 499));
-            let mut e = e2.lock();
+            let mut e = e2.borrow_mut();
             if ctx.now() > *e {
                 *e = ctx.now();
             }
         });
-        let t = *end.lock();
+        let t = *end.borrow_mut();
         t
     };
     assert_eq!(run_once(), run_once());

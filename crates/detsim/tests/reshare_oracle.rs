@@ -6,8 +6,8 @@
 //! membership change and settles **every** flow at every event instant —
 //! the O(flows x links) algorithm the kernel deliberately avoids. Both see
 //! the same deterministic churn tables (LCG-generated arrivals over shared
-//! links, in several waves so flow slots are freed and reused, exercising
-//! the generation machinery). Agreement is checked on:
+//! links, in several waves so flow slots are freed and reused while their
+//! completions are re-keyed). Agreement is checked on:
 //!
 //! * completion times, within a few ps: the implementations settle
 //!   floating-point state in different orders/granularities, so the last
@@ -18,10 +18,10 @@
 //! * per-link delivered bytes, exactly (integer accounting).
 //! * completion count and an empty network at the end.
 
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use detsim::{Kernel, LinkId, SimDuration, PS_PER_SEC};
-use parking_lot::Mutex;
 
 /// Tolerance on completion-time agreement, in picoseconds.
 const TOL_PS: i64 = 5_000; // 5 ns; transfers here run for ~0.1-1 ms
@@ -143,14 +143,14 @@ fn run_kernel(
             )
         })
         .collect();
-    let done: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let done: Rc<RefCell<Vec<(usize, u64)>>> = Rc::new(RefCell::new(Vec::new()));
     for (idx, f) in flows.iter().enumerate() {
         let path: Vec<LinkId> = f.path.iter().map(|&l| ids[l]).collect();
         let bytes = f.bytes;
-        let done = Arc::clone(&done);
+        let done = Rc::clone(&done);
         k.schedule_in(SimDuration::from_picos(f.start_ps), move |k| {
             k.start_flow(&path, bytes, move |k| {
-                done.lock().push((idx, k.now().picos()));
+                done.borrow_mut().push((idx, k.now().picos()));
             });
         });
     }
@@ -164,7 +164,7 @@ fn run_kernel(
     k.run_to_completion();
     assert_eq!(k.active_flows(), 0, "flows left in the network");
     let mut times = vec![0u64; flows.len()];
-    let finished = done.lock();
+    let finished = done.borrow_mut();
     assert_eq!(finished.len(), flows.len(), "not every flow completed");
     for &(idx, t) in finished.iter() {
         times[idx] = t;
@@ -362,6 +362,9 @@ fn capacity_churn_matches_naive_oracle() {
     }
 }
 
+/// A superseded projection is dropped the moment a reshare replaces it: the
+/// flow's one queue entry is re-keyed in place, so nothing stale is ever
+/// queued (and `stale_events_dropped` reads 0).
 #[test]
 fn churn_with_slot_reuse_is_deterministic_and_drops_stale_events() {
     let links = links_under_test();
@@ -371,7 +374,9 @@ fn churn_with_slot_reuse_is_deterministic_and_drops_stale_events() {
     assert_eq!(a, b, "identical churn must give bit-identical times");
     assert_eq!(da, db);
 
-    // The waves re-rate each other constantly; most projections go stale.
+    // The waves re-rate each other constantly, yet every unfinished flow
+    // owns exactly one queue entry at all times: its start callback, its
+    // latency-delayed activation, or its (re-keyed in place) completion.
     let mut k = Kernel::new();
     let ids: Vec<LinkId> = links
         .iter()
@@ -384,18 +389,30 @@ fn churn_with_slot_reuse_is_deterministic_and_drops_stale_events() {
             )
         })
         .collect();
+    let finished = Rc::new(Cell::new(0usize));
     for f in &flows {
         let path: Vec<LinkId> = f.path.iter().map(|&l| ids[l]).collect();
         let bytes = f.bytes;
+        let finished = Rc::clone(&finished);
         k.schedule_in(SimDuration::from_picos(f.start_ps), move |k| {
-            k.start_flow(&path, bytes, |_| {});
+            k.start_flow(&path, bytes, move |_| finished.set(finished.get() + 1));
         });
     }
-    k.run_to_completion();
-    assert!(
-        k.stale_events_dropped() > 0,
-        "churn should have superseded at least one projection"
-    );
+    let mut peak_active = 0;
+    while k.step() {
+        let unfinished = flows.len() - finished.get();
+        assert_eq!(
+            k.pending_events(),
+            unfinished,
+            "queue must hold one entry per unfinished flow and nothing else"
+        );
+        assert!(k.pending_events() >= k.active_flows());
+        peak_active = peak_active.max(k.active_flows());
+    }
+    assert_eq!(finished.get(), flows.len());
+    assert!(peak_active > 1, "churn should overlap flows");
+    assert_eq!(k.stale_events_dropped(), 0);
+    assert_eq!(k.heap_compactions(), 0);
 }
 
 #[test]

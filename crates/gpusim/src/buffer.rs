@@ -1,7 +1,7 @@
 //! Simulated device and pinned-host buffers.
 //!
 //! In [`DataMode::Full`](crate::DataMode::Full) a buffer owns real bytes
-//! behind an `Arc<Mutex<Vec<u8>>>`; copies and kernels operate on them when
+//! behind an `Rc<RefCell<Vec<u8>>>`; copies and kernels operate on them when
 //! their simulated op completes. In `Virtual` mode only the length exists.
 //!
 //! Handles are cheaply cloneable and shareable across simulated ranks — the
@@ -9,12 +9,11 @@
 //! discipline*: ranks only learn about each other's device buffers through
 //! [`IpcMemHandle`](crate::IpcMemHandle) exchange, as on real CUDA.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Shared byte storage (present only in full-data mode).
-pub(crate) type Storage = Arc<Mutex<Vec<u8>>>;
+pub(crate) type Storage = Rc<RefCell<Vec<u8>>>;
 
 /// Where a buffer physically lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,7 +38,7 @@ impl Buffer {
             placement,
             len,
             data: if with_data {
-                Some(Arc::new(Mutex::new(vec![0u8; len as usize])))
+                Some(Rc::new(RefCell::new(vec![0u8; len as usize])))
             } else {
                 None
             },
@@ -79,7 +78,7 @@ impl Buffer {
     pub fn read(&self, offset: u64, out: &mut [u8]) {
         let data = self.data.as_ref().expect("read from virtual-mode buffer");
         let s = offset as usize;
-        let g = data.lock();
+        let g = data.borrow();
         out.copy_from_slice(&g[s..s + out.len()]);
     }
 
@@ -88,7 +87,7 @@ impl Buffer {
     pub fn write(&self, offset: u64, src: &[u8]) {
         let data = self.data.as_ref().expect("write to virtual-mode buffer");
         let s = offset as usize;
-        let mut g = data.lock();
+        let mut g = data.borrow_mut();
         g[s..s + src.len()].copy_from_slice(src);
     }
 
@@ -99,7 +98,7 @@ impl Buffer {
             .data
             .as_ref()
             .expect("with_data on virtual-mode buffer");
-        let mut g = data.lock();
+        let mut g = data.borrow_mut();
         f(&mut g)
     }
 
@@ -131,12 +130,12 @@ impl Buffer {
             return;
         };
         let (dst_off, src_off, len) = (dst_off as usize, src_off as usize, len as usize);
-        if Arc::ptr_eq(d, s) {
-            let mut g = d.lock();
+        if Rc::ptr_eq(d, s) {
+            let mut g = d.borrow_mut();
             g.copy_within(src_off..src_off + len, dst_off);
         } else {
-            let mut dg = d.lock();
-            let sg = s.lock();
+            let mut dg = d.borrow_mut();
+            let sg = s.borrow();
             dg[dst_off..dst_off + len].copy_from_slice(&sg[src_off..src_off + len]);
         }
     }

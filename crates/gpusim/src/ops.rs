@@ -20,7 +20,7 @@ use crate::machine::{GpuMachine, Stream};
 
 /// Host-side work executed when a simulated op completes (real data
 /// movement or compute in full-data mode).
-pub type Work = Box<dyn FnOnce() + Send>;
+pub type Work = Box<dyn FnOnce()>;
 
 /// Opaque sharable reference to a device allocation
 /// (`cudaIpcGetMemHandle` analogue). Send it to another rank (through the
@@ -293,7 +293,8 @@ mod tests {
     use super::*;
     use crate::config::{DataMode, GpuCostModel};
     use detsim::{Sim, SimDuration};
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use topo::summit::summit_cluster;
 
     fn setup(nodes: usize) -> (Sim, GpuMachine) {
@@ -466,19 +467,18 @@ mod tests {
     fn events_order_across_streams() {
         let (mut sim, m) = setup(1);
         let m2 = m.clone();
-        let order: Arc<parking_lot::Mutex<Vec<&'static str>>> =
-            Arc::new(parking_lot::Mutex::new(vec![]));
-        let o2 = Arc::clone(&order);
+        let order: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(vec![]));
+        let o2 = Rc::clone(&order);
         sim.run(1, move |ctx| {
             let (s1, s2) = ctx.with_kernel(|k| (m2.create_stream(k, 0), m2.create_stream(k, 0)));
-            let o3 = Arc::clone(&o2);
-            let o4 = Arc::clone(&o2);
+            let o3 = Rc::clone(&o2);
+            let o4 = Rc::clone(&o2);
             let k1 = m2.launch_kernel(
                 ctx,
                 s1,
                 "first",
                 350_000_000,
-                Some(Box::new(move || o3.lock().push("first"))),
+                Some(Box::new(move || o3.borrow_mut().push("first"))),
             );
             let ev = m2.record_event(ctx, s1);
             m2.stream_wait_event(ctx, s2, &ev);
@@ -487,11 +487,11 @@ mod tests {
                 s2,
                 "second",
                 1000,
-                Some(Box::new(move || o4.lock().push("second"))),
+                Some(Box::new(move || o4.borrow_mut().push("second"))),
             );
             ctx.wait_all(&[k1, k2]);
         });
-        assert_eq!(*order.lock(), vec!["first", "second"]);
+        assert_eq!(*order.borrow_mut(), vec!["first", "second"]);
     }
 
     #[test]

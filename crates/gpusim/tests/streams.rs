@@ -3,11 +3,11 @@
 //! contention, data-integrity of chained pipelines, and IPC sharing across
 //! simulated ranks.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use detsim::{Sim, SimDuration};
 use gpusim::{DataMode, GpuCostModel, GpuMachine};
-use parking_lot::Mutex;
 use topo::summit::summit_cluster;
 
 fn setup(nodes: usize) -> (Sim, GpuMachine) {
@@ -26,37 +26,37 @@ fn setup(nodes: usize) -> (Sim, GpuMachine) {
 #[test]
 fn mixed_ops_on_one_stream_run_in_issue_order() {
     let (mut sim, m) = setup(1);
-    let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-    let o = Arc::clone(&order);
+    let order: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(Vec::new()));
+    let o = Rc::clone(&order);
     let m2 = m.clone();
     sim.run(1, move |ctx| {
         let dev = m2.alloc_device_untimed(0, 1024).unwrap();
         let host = m2.alloc_host_untimed(0, 0, 1024);
         let s = m2.default_stream(0);
-        let o1 = Arc::clone(&o);
+        let o1 = Rc::clone(&o);
         let _k1 = m2.launch_kernel(
             ctx,
             s,
             "a",
             1 << 20,
-            Some(Box::new(move || o1.lock().push("kernel-a"))),
+            Some(Box::new(move || o1.borrow_mut().push("kernel-a"))),
         );
         let c = m2.memcpy_async(ctx, s, &host, 0, &dev, 0, 1024);
-        let o2 = Arc::clone(&o);
+        let o2 = Rc::clone(&o);
         ctx.with_kernel(|k| {
-            k.on_complete(&c, move |_| o2.lock().push("copy"));
+            k.on_complete(&c, move |_| o2.borrow_mut().push("copy"));
         });
-        let o3 = Arc::clone(&o);
+        let o3 = Rc::clone(&o);
         let k2 = m2.launch_kernel(
             ctx,
             s,
             "b",
             1 << 20,
-            Some(Box::new(move || o3.lock().push("kernel-b"))),
+            Some(Box::new(move || o3.borrow_mut().push("kernel-b"))),
         );
         ctx.wait(&k2);
     });
-    assert_eq!(*order.lock(), vec!["kernel-a", "copy", "kernel-b"]);
+    assert_eq!(*order.borrow_mut(), vec!["kernel-a", "copy", "kernel-b"]);
 }
 
 #[test]
@@ -138,8 +138,8 @@ fn ipc_handle_crosses_simulated_ranks() {
     // Rank 1 opens rank 0's buffer via an IPC handle sent through the
     // typed channel, then writes into it; rank 0 sees the bytes.
     use mpisim::{run_world, WorldConfig};
-    let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
-    let o2 = Arc::clone(&ok);
+    let ok: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
+    let o2 = Rc::clone(&ok);
     run_world(WorldConfig::new(summit_cluster(1), 2), move |ctx| {
         let m = ctx.machine();
         if ctx.rank() == 0 {
@@ -149,7 +149,7 @@ fn ipc_handle_crosses_simulated_ranks() {
             let _: u8 = ctx.recv_obj(1, 2);
             let mut b = [0u8; 256];
             mine.read(0, &mut b);
-            *o2.lock() = b.iter().all(|&v| v == 0xAB);
+            *o2.borrow_mut() = b.iter().all(|&v| v == 0xAB);
         } else {
             let handle: gpusim::IpcMemHandle = ctx.recv_obj(0, 1);
             let theirs = m.ipc_open(ctx.sim(), &handle);
@@ -157,7 +157,7 @@ fn ipc_handle_crosses_simulated_ranks() {
             ctx.send_obj(0, 2, 1u8);
         }
     });
-    assert!(*ok.lock());
+    assert!(*ok.borrow_mut());
 }
 
 #[test]
@@ -167,16 +167,16 @@ fn virtual_mode_costs_identical_to_full_mode() {
         let mut sim = Sim::new();
         let m = sim
             .with_kernel(|k| GpuMachine::new(k, summit_cluster(1), GpuCostModel::default(), mode));
-        let out = Arc::new(Mutex::new(0u64));
-        let o = Arc::clone(&out);
+        let out = Rc::new(RefCell::new(0u64));
+        let o = Rc::clone(&out);
         sim.run(1, move |ctx| {
             let dev = m.alloc_device_untimed(0, 10_000_000).unwrap();
             let host = m.alloc_host_untimed(0, 0, 10_000_000);
             let c = m.memcpy_async(ctx, m.default_stream(0), &host, 0, &dev, 0, 10_000_000);
             ctx.wait(&c);
-            *o.lock() = ctx.now().picos();
+            *o.borrow_mut() = ctx.now().picos();
         });
-        let v = *out.lock();
+        let v = *out.borrow_mut();
         v
     };
     assert_eq!(run(DataMode::Full), run(DataMode::Virtual));

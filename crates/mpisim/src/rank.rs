@@ -1,9 +1,9 @@
 //! The per-rank API: what a simulated MPI rank program sees.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use detsim::{Completion, SimCtx, SimTime};
+use detsim::{SimCtx, SimTime};
 use faultsim::FaultSchedule;
 use gpusim::{Buffer, GpuMachine};
 
@@ -14,7 +14,7 @@ use crate::transport::{ChanKind, ChanSide, Channel, ChannelRound, MpiState, Requ
 /// uses.
 pub struct RankCtx<'a> {
     pub(crate) sim: &'a SimCtx,
-    pub(crate) st: Arc<MpiState>,
+    pub(crate) st: Rc<MpiState>,
     pub(crate) rank: usize,
 }
 
@@ -102,7 +102,7 @@ impl<'a> RankCtx<'a> {
     ///
     /// * `build` must be **pure compute**: it must not perform simulation
     ///   operations (no delays, sends, waits — nothing that advances
-    ///   virtual time or yields the run token). The cache lock is held
+    ///   virtual time or yields the run token). The cache stays borrowed
     ///   while it runs, and virtual time must not depend on which rank
     ///   happened to populate the cache.
     /// * Every rank using `key` must pass a `build` that would produce a
@@ -116,17 +116,17 @@ impl<'a> RankCtx<'a> {
     /// let part = ctx.cached_setup("my-lib/partition", || partition_for(ctx.size()));
     /// # }
     /// ```
-    pub fn cached_setup<T, F>(&self, key: &str, build: F) -> Arc<T>
+    pub fn cached_setup<T, F>(&self, key: &str, build: F) -> Rc<T>
     where
-        T: Any + Send + Sync,
+        T: Any,
         F: FnOnce() -> T,
     {
-        let mut cache = self.st.setup_cache.lock();
+        let mut cache = self.st.setup_cache.borrow_mut();
         let entry = match cache.get(key) {
-            Some(v) => Arc::clone(v),
+            Some(v) => Rc::clone(v),
             None => {
-                let v: Arc<dyn Any + Send + Sync> = Arc::new(build());
-                cache.insert(key.to_string(), Arc::clone(&v));
+                let v: Rc<dyn Any> = Rc::new(build());
+                cache.insert(key.to_string(), Rc::clone(&v));
                 v
             }
         };
@@ -162,12 +162,6 @@ impl<'a> RankCtx<'a> {
         for r in reqs {
             self.wait(r);
         }
-    }
-
-    /// Wait until at least one of `completions` fires (drive state
-    /// machines).
-    pub fn wait_any_completion(&self, completions: &[Completion]) -> usize {
-        self.sim.wait_any(completions)
     }
 
     /// Blocking send (Isend + Wait).
@@ -311,7 +305,7 @@ impl<'a> RankCtx<'a> {
 
     /// Send a small typed setup message (subdomain metadata, IPC handles) to
     /// `dst`. Models an eager small MPI message without byte serialization.
-    pub fn send_obj<T: Any + Send>(&self, dst: usize, tag: u64, value: T) {
+    pub fn send_obj<T: Any>(&self, dst: usize, tag: u64, value: T) {
         self.sim.delay(self.st.cfg.call_overhead);
         self.sim
             .with_kernel(|k| self.st.send_obj(k, self.rank, dst, tag, Box::new(value)));
@@ -319,7 +313,7 @@ impl<'a> RankCtx<'a> {
 
     /// Receive a typed setup message from `src`. Blocks until it arrives;
     /// panics if the arriving payload has a different type.
-    pub fn recv_obj<T: Any + Send>(&self, src: usize, tag: u64) -> T {
+    pub fn recv_obj<T: Any>(&self, src: usize, tag: u64) -> T {
         self.sim.delay(self.st.cfg.call_overhead);
         loop {
             let got = self
@@ -423,7 +417,7 @@ impl<'a> RankCtx<'a> {
     /// Gather one typed value from every rank onto all ranks, in rank order.
     /// Convenience for small-scale setup exchanges (O(n) messages per rank —
     /// fine at setup time; not used on hot paths).
-    pub fn all_gather_obj<T: Any + Send + Clone>(&self, tag: u64, value: T) -> Vec<T> {
+    pub fn all_gather_obj<T: Any + Clone>(&self, tag: u64, value: T) -> Vec<T> {
         let n = self.st.num_ranks;
         for dst in 0..n {
             if dst != self.rank {

@@ -2,14 +2,13 @@
 //! NIC (inter-node), and CUDA-aware (device buffers passed straight to MPI).
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use detsim::{Completion, Kernel, LinkId, SimDuration, SimTime};
 use faultsim::{FaultAction, FaultSchedule};
 use gpusim::{Buffer, GpuMachine, Placement};
-use parking_lot::Mutex;
 
 use crate::config::MpiCostModel;
 
@@ -21,14 +20,14 @@ pub struct Request {
     /// Set when the operation resolved as *revoked* (ULFM-style): one of
     /// its endpoints died while the operation was still pending. A revoked
     /// request is complete (waits return immediately) but moved no bytes.
-    pub(crate) revoked: Arc<AtomicBool>,
+    pub(crate) revoked: Rc<Cell<bool>>,
 }
 
 impl Request {
     pub(crate) fn new(done: Completion) -> Request {
         Request {
             done,
-            revoked: Arc::new(AtomicBool::new(false)),
+            revoked: Rc::new(Cell::new(false)),
         }
     }
 
@@ -41,11 +40,11 @@ impl Request {
     /// while it was pending, so it completed without transferring data
     /// (see `docs/RESILIENCE.md` for the shrink-or-respawn contract).
     pub fn is_revoked(&self) -> bool {
-        self.revoked.load(Ordering::Relaxed)
+        self.revoked.get()
     }
 
-    /// The underlying completion (for mixing with stream events in
-    /// `wait_any`-style polling).
+    /// The underlying completion (to chain callbacks on, or to wait on
+    /// alongside stream events).
     pub fn completion(&self) -> &Completion {
         &self.done
     }
@@ -134,8 +133,8 @@ struct ChannelRoundState {
     recv_parts: Option<Vec<Completion>>,
     /// Revocation flags handed out with each side's round requests, so a
     /// kill can mark in-flight rounds revoked.
-    send_flag: Option<Arc<AtomicBool>>,
-    recv_flag: Option<Arc<AtomicBool>>,
+    send_flag: Option<Rc<Cell<bool>>>,
+    recv_flag: Option<Rc<Cell<bool>>>,
     ready: Vec<bool>,
     launched: Vec<bool>,
     remaining: usize,
@@ -164,7 +163,7 @@ struct PendingMsg {
     off: u64,
     len: u64,
     done: Completion,
-    revoked: Arc<AtomicBool>,
+    revoked: Rc<Cell<bool>>,
     rank: usize,
     /// When the operation was posted (for match-latency metrics).
     posted: SimTime,
@@ -178,7 +177,7 @@ struct MatchQueue {
 
 #[derive(Default)]
 struct ObjQueue {
-    items: VecDeque<Box<dyn Any + Send>>,
+    items: VecDeque<Box<dyn Any>>,
     waiters: VecDeque<Completion>,
 }
 
@@ -222,18 +221,18 @@ pub(crate) struct MpiState {
     pub shm_link: Vec<LinkId>,
     /// Per-rank trace track for MPI spans.
     pub rank_track: Vec<detsim::trace::TrackId>,
-    queues: Mutex<HashMap<MatchKey, MatchQueue>>,
+    queues: RefCell<HashMap<MatchKey, MatchQueue>>,
     /// Persistent/partitioned channels: both ends register under the same
     /// `(dst, src, tag)` key at init time; the index maps it to a slot in
     /// `channels`.
-    chan_index: Mutex<HashMap<MatchKey, usize>>,
-    channels: Mutex<Vec<Arc<Mutex<ChannelState>>>>,
-    objs: Mutex<HashMap<MatchKey, ObjQueue>>,
-    pub barrier: Mutex<BarrierState>,
-    life: Mutex<LifeState>,
+    chan_index: RefCell<HashMap<MatchKey, usize>>,
+    channels: RefCell<Vec<Rc<RefCell<ChannelState>>>>,
+    objs: RefCell<HashMap<MatchKey, ObjQueue>>,
+    pub barrier: RefCell<BarrierState>,
+    life: RefCell<LifeState>,
     /// Memoized deterministic setup artifacts shared across the world's
     /// ranks (see [`RankCtx::cached_setup`](crate::RankCtx::cached_setup)).
-    pub(crate) setup_cache: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
+    pub(crate) setup_cache: RefCell<HashMap<String, Rc<dyn Any>>>,
 }
 
 impl MpiState {
@@ -245,7 +244,7 @@ impl MpiState {
         persistent: bool,
         partitioned: bool,
         ranks_per_node: usize,
-    ) -> Arc<MpiState> {
+    ) -> Rc<MpiState> {
         assert!(ranks_per_node >= 1);
         let num_ranks = machine.num_nodes() * ranks_per_node;
         let mut shm_link = Vec::with_capacity(num_ranks);
@@ -255,7 +254,7 @@ impl MpiState {
             rank_track.push(k.trace.add_track(format!("rank{r} mpi")));
         }
         let release = k.completion();
-        Arc::new(MpiState {
+        Rc::new(MpiState {
             machine,
             cfg,
             cuda_aware,
@@ -265,23 +264,23 @@ impl MpiState {
             ranks_per_node,
             shm_link,
             rank_track,
-            queues: Mutex::new(HashMap::new()),
-            chan_index: Mutex::new(HashMap::new()),
-            channels: Mutex::new(Vec::new()),
-            objs: Mutex::new(HashMap::new()),
-            barrier: Mutex::new(BarrierState {
+            queues: RefCell::new(HashMap::new()),
+            chan_index: RefCell::new(HashMap::new()),
+            channels: RefCell::new(Vec::new()),
+            objs: RefCell::new(HashMap::new()),
+            barrier: RefCell::new(BarrierState {
                 arrived: vec![false; num_ranks],
                 alive_arrived: 0,
                 release,
             }),
-            life: Mutex::new(LifeState {
+            life: RefCell::new(LifeState {
                 alive: vec![true; num_ranks],
                 dead: 0,
                 epoch: 0,
                 respawn_waiters: Vec::new(),
                 all_alive_waiters: Vec::new(),
             }),
-            setup_cache: Mutex::new(HashMap::new()),
+            setup_cache: RefCell::new(HashMap::new()),
         })
     }
 
@@ -317,12 +316,12 @@ impl MpiState {
             off,
             len,
             done,
-            revoked: Arc::clone(&req.revoked),
+            revoked: Rc::clone(&req.revoked),
             rank: src_rank,
             posted: k.now(),
         };
         let matched = {
-            let mut q = self.queues.lock();
+            let mut q = self.queues.borrow_mut();
             let entry = q.entry((dst_rank, src_rank, tag)).or_default();
             match entry.recvs.pop_front() {
                 Some(recv) => Ok((msg, recv)),
@@ -344,7 +343,7 @@ impl MpiState {
     /// (fault-free) fast path this is two boolean reads.
     fn revoked_if_dead(&self, k: &mut Kernel, a: usize, b: usize) -> Option<Request> {
         let dead = {
-            let life = self.life.lock();
+            let life = self.life.borrow();
             !life.alive[a] || !life.alive[b]
         };
         if !dead {
@@ -358,7 +357,7 @@ impl MpiState {
         }
         Some(Request {
             done,
-            revoked: Arc::new(AtomicBool::new(true)),
+            revoked: Rc::new(Cell::new(true)),
         })
     }
 
@@ -389,12 +388,12 @@ impl MpiState {
             off,
             len,
             done,
-            revoked: Arc::clone(&req.revoked),
+            revoked: Rc::clone(&req.revoked),
             rank: dst_rank,
             posted: k.now(),
         };
         let matched = {
-            let mut q = self.queues.lock();
+            let mut q = self.queues.borrow_mut();
             let entry = q.entry((dst_rank, src_rank, tag)).or_default();
             match entry.sends.pop_front() {
                 Some(send) => Ok((send, msg)),
@@ -642,10 +641,10 @@ impl MpiState {
             len,
             rank: my_rank,
         };
-        let mut index = self.chan_index.lock();
-        let mut channels = self.channels.lock();
+        let mut index = self.chan_index.borrow_mut();
+        let mut channels = self.channels.borrow_mut();
         let id = *index.entry(key).or_insert_with(|| {
-            channels.push(Arc::new(Mutex::new(ChannelState {
+            channels.push(Rc::new(RefCell::new(ChannelState {
                 kind,
                 parts,
                 send: None,
@@ -657,7 +656,7 @@ impl MpiState {
             channels.len() - 1
         });
         {
-            let mut st = channels[id].lock();
+            let mut st = channels[id].borrow_mut();
             assert_eq!(st.kind, kind, "channel ends disagree on kind (key {key:?})");
             assert_eq!(
                 st.parts, parts,
@@ -706,13 +705,9 @@ impl MpiState {
     /// [`Self::channel_pready`] — begin flying as soon as both sides of
     /// the round have started. On a revoked channel the round resolves
     /// immediately: all completions done, flag set, no bytes.
-    pub fn channel_start(
-        &self,
-        k: &mut Kernel,
-        ch: &Channel,
-    ) -> (Vec<Completion>, Arc<AtomicBool>) {
-        let state = Arc::clone(&self.channels.lock()[ch.id]);
-        let mut st = state.lock();
+    pub fn channel_start(&self, k: &mut Kernel, ch: &Channel) -> (Vec<Completion>, Rc<Cell<bool>>) {
+        let state = Rc::clone(&self.channels.borrow()[ch.id]);
+        let mut st = state.borrow_mut();
         assert!(
             st.send.is_some() && st.recv.is_some(),
             "channel started before both ends were initialized"
@@ -727,7 +722,7 @@ impl MpiState {
                 k.metrics
                     .counter_add("mpisim", "revoked_ops", &[("when", "channel-start")], 1);
             }
-            return (mine, Arc::new(AtomicBool::new(true)));
+            return (mine, Rc::new(Cell::new(true)));
         }
         let parts = st.parts;
         let round = st.cur.get_or_insert_with(|| ChannelRoundState {
@@ -741,7 +736,7 @@ impl MpiState {
             first_started: k.now(),
         });
         let mine: Vec<Completion> = (0..parts).map(|_| k.completion()).collect();
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = Rc::new(Cell::new(false));
         let (slot, flag_slot, other_started, waited_side) = match ch.side {
             ChanSide::Send => (
                 &mut round.send_parts,
@@ -758,7 +753,7 @@ impl MpiState {
         };
         assert!(slot.is_none(), "channel end started twice in one round");
         *slot = Some(mine.clone());
-        *flag_slot = Some(Arc::clone(&flag));
+        *flag_slot = Some(Rc::clone(&flag));
         if ch.side == ChanSide::Send && ch.kind == ChanKind::Persistent {
             // The whole persistent message is implicitly ready at start.
             round.ready.iter_mut().for_each(|r| *r = true);
@@ -805,8 +800,8 @@ impl MpiState {
             "pready on a persistent channel"
         );
         assert!(part < ch.parts, "partition index out of range");
-        let state = Arc::clone(&self.channels.lock()[ch.id]);
-        let mut st = state.lock();
+        let state = Rc::clone(&self.channels.borrow()[ch.id]);
+        let mut st = state.borrow_mut();
         if st.revoked {
             // The round already resolved as revoked; readiness is moot.
             return;
@@ -834,7 +829,7 @@ impl MpiState {
     fn channel_try_launch(
         &self,
         k: &mut Kernel,
-        state: &Arc<Mutex<ChannelState>>,
+        state: &Rc<RefCell<ChannelState>>,
         st: &mut ChannelState,
     ) {
         let Some(round) = st.cur.as_mut() else {
@@ -888,7 +883,7 @@ impl MpiState {
             let sbuf = send.buf.clone();
             let rbuf = recv.buf.clone();
             let (soff, roff) = (send.off + rel, recv.off + rel);
-            let chan = Arc::clone(state);
+            let chan = Rc::clone(state);
             let path = path.clone();
             let start = k.now();
             k.schedule_in(extra, move |k| {
@@ -900,7 +895,7 @@ impl MpiState {
                     }
                     k.complete(&send_done);
                     k.complete(&recv_done);
-                    let mut st = chan.lock();
+                    let mut st = chan.borrow_mut();
                     // A kill may have revoked the round out from under an
                     // in-flight partition; the late finish is then a no-op.
                     if let Some(r) = st.cur.as_mut() {
@@ -921,17 +916,17 @@ impl MpiState {
     /// `obj_latency`; payloads are not byte-serialized (they model small
     /// setup messages whose transfer time is latency-dominated).
     pub fn send_obj(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         k: &mut Kernel,
         src_rank: usize,
         dst_rank: usize,
         tag: u64,
-        obj: Box<dyn Any + Send>,
+        obj: Box<dyn Any>,
     ) {
         let key = (dst_rank, src_rank, tag);
-        let state = Arc::clone(self);
+        let state = Rc::clone(self);
         k.schedule_in(self.cfg.obj_latency, move |k| {
-            let mut q = state.objs.lock();
+            let mut q = state.objs.borrow_mut();
             let entry = q.entry(key).or_default();
             entry.items.push_back(obj);
             if let Some(w) = entry.waiters.pop_front() {
@@ -949,8 +944,8 @@ impl MpiState {
         dst_rank: usize,
         src_rank: usize,
         tag: u64,
-    ) -> Result<Box<dyn Any + Send>, Completion> {
-        let mut q = self.objs.lock();
+    ) -> Result<Box<dyn Any>, Completion> {
+        let mut q = self.objs.borrow_mut();
         let entry = q.entry((dst_rank, src_rank, tag)).or_default();
         match entry.items.pop_front() {
             Some(obj) => Ok(obj),
@@ -966,12 +961,12 @@ impl MpiState {
 
     /// Whether `rank` is currently alive.
     pub fn is_alive(&self, rank: usize) -> bool {
-        self.life.lock().alive[rank]
+        self.life.borrow().alive[rank]
     }
 
     /// Number of currently alive ranks.
     pub fn alive_count(&self) -> usize {
-        let life = self.life.lock();
+        let life = self.life.borrow();
         life.alive.len() - life.dead
     }
 
@@ -979,20 +974,20 @@ impl MpiState {
     /// shrunken world every survivor agrees on (reads of shared state at
     /// one virtual instant are identical across ranks).
     pub fn alive_ranks(&self) -> Vec<usize> {
-        let life = self.life.lock();
+        let life = self.life.borrow();
         (0..life.alive.len()).filter(|&r| life.alive[r]).collect()
     }
 
     /// The communicator epoch: bumped on every kill and respawn. A
     /// fault-free world stays at epoch 0.
     pub fn failure_epoch(&self) -> u64 {
-        self.life.lock().epoch
+        self.life.borrow().epoch
     }
 
     /// A completion released when `rank` respawns, or `None` if it is
     /// already alive.
     pub fn respawn_completion(&self, k: &mut Kernel, rank: usize) -> Option<Completion> {
-        let mut life = self.life.lock();
+        let mut life = self.life.borrow_mut();
         if life.alive[rank] {
             return None;
         }
@@ -1004,7 +999,7 @@ impl MpiState {
     /// A completion released when every rank is alive, or `None` if the
     /// world is already whole.
     pub fn all_alive_completion(&self, k: &mut Kernel) -> Option<Completion> {
-        let mut life = self.life.lock();
+        let mut life = self.life.borrow_mut();
         if life.dead == 0 {
             return None;
         }
@@ -1017,7 +1012,7 @@ impl MpiState {
     /// revoked handle never transfers again; both ends must `*_init` a
     /// fresh channel (the re-handshake).
     pub fn channel_revoked(&self, ch: &Channel) -> bool {
-        self.channels.lock()[ch.id].lock().revoked
+        self.channels.borrow()[ch.id].borrow().revoked
     }
 
     /// Install the rank kill/respawn events of `schedule` as kernel
@@ -1026,14 +1021,14 @@ impl MpiState {
     /// skips rank events; together the two passes install every event
     /// exactly once. A schedule without rank events registers nothing.
     pub fn install_rank_faults(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         k: &mut Kernel,
         schedule: &FaultSchedule,
         base: SimTime,
     ) {
         for (at, rank, action) in schedule.rank_events() {
             assert!(rank < self.num_ranks, "rank fault target out of range");
-            let st = Arc::clone(self);
+            let st = Rc::clone(self);
             match action {
                 FaultAction::Kill => {
                     k.schedule_at(base + at, move |k| st.kill_rank(k, rank));
@@ -1062,9 +1057,9 @@ impl MpiState {
     ///   ranks releases to its survivors — the shrunken-world agreement.
     ///
     /// Idempotent; killing a dead rank is a no-op.
-    pub fn kill_rank(self: &Arc<Self>, k: &mut Kernel, rank: usize) {
+    pub fn kill_rank(self: &Rc<Self>, k: &mut Kernel, rank: usize) {
         {
-            let mut life = self.life.lock();
+            let mut life = self.life.borrow_mut();
             if !life.alive[rank] {
                 return;
             }
@@ -1075,13 +1070,13 @@ impl MpiState {
         let mut to_complete: Vec<Completion> = Vec::new();
         let mut revoked_ops = 0u64;
         {
-            let mut q = self.queues.lock();
+            let mut q = self.queues.borrow_mut();
             for (key, mq) in q.iter_mut() {
                 if key.0 != rank && key.1 != rank {
                     continue;
                 }
                 for msg in mq.sends.drain(..).chain(mq.recvs.drain(..)) {
-                    msg.revoked.store(true, Ordering::Relaxed);
+                    msg.revoked.set(true);
                     to_complete.push(msg.done);
                     revoked_ops += 1;
                 }
@@ -1089,21 +1084,21 @@ impl MpiState {
         }
         {
             let index_len = {
-                let mut index = self.chan_index.lock();
+                let mut index = self.chan_index.borrow_mut();
                 let n = index.len();
                 index.clear();
                 n
             };
-            let channels = self.channels.lock();
+            let channels = self.channels.borrow();
             for chan in channels.iter() {
-                let mut st = chan.lock();
+                let mut st = chan.borrow_mut();
                 if st.revoked {
                     continue;
                 }
                 st.revoked = true;
                 if let Some(round) = st.cur.take() {
                     for flag in [&round.send_flag, &round.recv_flag].into_iter().flatten() {
-                        flag.store(true, Ordering::Relaxed);
+                        flag.set(true);
                     }
                     for parts in [round.send_parts, round.recv_parts].into_iter().flatten() {
                         to_complete.extend(parts);
@@ -1114,7 +1109,7 @@ impl MpiState {
             let _ = index_len;
         }
         {
-            let mut q = self.objs.lock();
+            let mut q = self.objs.borrow_mut();
             for (key, oq) in q.iter_mut() {
                 if key.0 == rank || key.1 == rank {
                     to_complete.extend(oq.waiters.drain(..));
@@ -1139,10 +1134,10 @@ impl MpiState {
     /// parked on its return — and, once the world is whole, on
     /// all-alive — are released, and the barrier counts it again.
     /// Idempotent; respawning a live rank is a no-op.
-    pub fn respawn_rank(self: &Arc<Self>, k: &mut Kernel, rank: usize) {
+    pub fn respawn_rank(self: &Rc<Self>, k: &mut Kernel, rank: usize) {
         let mut wake: Vec<Completion> = Vec::new();
         {
-            let mut life = self.life.lock();
+            let mut life = self.life.borrow_mut();
             if life.alive[rank] {
                 return;
             }
@@ -1164,7 +1159,7 @@ impl MpiState {
         // If the rank is parked at the barrier (it arrived dead, or died
         // after arriving), its arrival counts again.
         {
-            let mut b = self.barrier.lock();
+            let mut b = self.barrier.borrow_mut();
             if b.arrived[rank] {
                 b.alive_arrived += 1;
             }
@@ -1184,7 +1179,7 @@ impl MpiState {
     /// to its survivors.
     fn barrier_drop_rank(&self, k: &mut Kernel, rank: usize) {
         {
-            let mut b = self.barrier.lock();
+            let mut b = self.barrier.borrow_mut();
             if b.arrived[rank] {
                 b.alive_arrived -= 1;
             }
@@ -1197,7 +1192,7 @@ impl MpiState {
     pub fn barrier_arrive(&self, k: &mut Kernel, rank: usize) -> Completion {
         let (me_alive, rel) = {
             let alive = self.is_alive(rank);
-            let mut b = self.barrier.lock();
+            let mut b = self.barrier.borrow_mut();
             debug_assert!(!b.arrived[rank], "rank re-entered barrier before release");
             b.arrived[rank] = true;
             if alive {
@@ -1216,7 +1211,7 @@ impl MpiState {
     /// unchanged from the fault-free path.
     fn barrier_maybe_release(&self, k: &mut Kernel) {
         let alive_total = self.alive_count();
-        let mut b = self.barrier.lock();
+        let mut b = self.barrier.borrow_mut();
         if b.alive_arrived == 0 || b.alive_arrived != alive_total {
             return;
         }

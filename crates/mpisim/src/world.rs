@@ -1,7 +1,7 @@
 //! The cluster world: builds the whole simulated machine and runs one
 //! program per MPI rank.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use detsim::{Program, Sim, SimDuration};
 use faultsim::FaultSchedule;
@@ -140,10 +140,10 @@ pub struct WorldReport {
 /// rank returns; returns timing and (optionally) trace output.
 ///
 /// The program receives a [`RankCtx`]; share results out through captured
-/// `Arc<Mutex<..>>` state.
+/// `Rc<RefCell<..>>` state.
 pub fn run_world<F>(config: WorldConfig, program: F) -> WorldReport
 where
-    F: Fn(&RankCtx) + Send + Sync + 'static,
+    F: Fn(&RankCtx) + 'static,
 {
     let num_ranks = config.num_ranks();
     assert!(num_ranks > 0, "world with zero ranks");
@@ -187,11 +187,11 @@ where
         st.install_rank_faults(k, &config.faults, detsim::SimTime::ZERO);
         st
     });
-    let program = Arc::new(program);
+    let program = Rc::new(program);
     let programs: Vec<Program> = (0..num_ranks)
         .map(|rank| {
-            let st = Arc::clone(&st);
-            let program = Arc::clone(&program);
+            let st = Rc::clone(&st);
+            let program = Rc::clone(&program);
             Box::new(move |sim_ctx: &detsim::SimCtx| {
                 debug_assert_eq!(sim_ctx.tid(), rank);
                 let ctx = RankCtx {
@@ -239,7 +239,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use std::cell::RefCell;
     use topo::summit::summit_cluster;
 
     fn cfg(nodes: usize, rpn: usize) -> WorldConfig {
@@ -248,12 +248,12 @@ mod tests {
 
     #[test]
     fn world_runs_every_rank() {
-        let hits = Arc::new(Mutex::new(Vec::new()));
-        let h = Arc::clone(&hits);
+        let hits = Rc::new(RefCell::new(Vec::new()));
+        let h = Rc::clone(&hits);
         run_world(cfg(2, 6), move |ctx| {
-            h.lock().push((ctx.rank(), ctx.node()));
+            h.borrow_mut().push((ctx.rank(), ctx.node()));
         });
-        let mut v = hits.lock().clone();
+        let mut v = hits.borrow_mut().clone();
         v.sort();
         assert_eq!(v.len(), 12);
         assert_eq!(v[0], (0, 0));
@@ -262,12 +262,12 @@ mod tests {
 
     #[test]
     fn gpu_assignment_partitions_node() {
-        let out = Arc::new(Mutex::new(vec![Vec::new(); 4]));
-        let o = Arc::clone(&out);
+        let out = Rc::new(RefCell::new(vec![Vec::new(); 4]));
+        let o = Rc::clone(&out);
         run_world(cfg(2, 2), move |ctx| {
-            o.lock()[ctx.rank()] = ctx.gpus();
+            o.borrow_mut()[ctx.rank()] = ctx.gpus();
         });
-        let v = out.lock().clone();
+        let v = out.borrow_mut().clone();
         assert_eq!(v[0], vec![0, 1, 2]);
         assert_eq!(v[1], vec![3, 4, 5]);
         assert_eq!(v[2], vec![6, 7, 8]);
@@ -276,12 +276,12 @@ mod tests {
 
     #[test]
     fn single_rank_per_node_owns_all_gpus() {
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&out);
+        let out = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&out);
         run_world(cfg(1, 1), move |ctx| {
-            *o.lock() = ctx.gpus();
+            *o.borrow_mut() = ctx.gpus();
         });
-        assert_eq!(*out.lock(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(*out.borrow_mut(), vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -292,16 +292,16 @@ mod tests {
 
     #[test]
     fn barrier_synchronizes_ranks() {
-        let times = Arc::new(Mutex::new(Vec::new()));
-        let t = Arc::clone(&times);
+        let times = Rc::new(RefCell::new(Vec::new()));
+        let t = Rc::clone(&times);
         run_world(cfg(1, 6), move |ctx| {
             // stagger arrivals
             ctx.sim()
                 .delay(SimDuration::from_micros(10 * ctx.rank() as u64));
             ctx.barrier();
-            t.lock().push(ctx.wtime());
+            t.borrow_mut().push(ctx.wtime());
         });
-        let v = times.lock().clone();
+        let v = times.borrow_mut().clone();
         assert_eq!(v.len(), 6);
         let first = v[0];
         for &x in &v {
@@ -312,8 +312,8 @@ mod tests {
 
     #[test]
     fn host_send_recv_moves_data_intra_node() {
-        let ok = Arc::new(Mutex::new(false));
-        let o = Arc::clone(&ok);
+        let ok = Rc::new(RefCell::new(false));
+        let o = Rc::clone(&ok);
         run_world(cfg(1, 2), move |ctx| {
             let m = ctx.machine();
             if ctx.rank() == 0 {
@@ -325,16 +325,16 @@ mod tests {
                 ctx.recv(&buf, 0, 1024, 0, 7);
                 let mut got = [0u8; 1024];
                 buf.read(0, &mut got);
-                *o.lock() = got.iter().all(|&b| b == 42);
+                *o.borrow_mut() = got.iter().all(|&b| b == 42);
             }
         });
-        assert!(*ok.lock());
+        assert!(*ok.borrow_mut());
     }
 
     #[test]
     fn internode_transfer_charges_nic_time() {
-        let dt = Arc::new(Mutex::new(0.0));
-        let d = Arc::clone(&dt);
+        let dt = Rc::new(RefCell::new(0.0));
+        let d = Rc::clone(&dt);
         run_world(cfg(2, 1), move |ctx| {
             let m = ctx.machine();
             let bytes = 25_000_000u64; // 1 ms at 25 GB/s injection
@@ -345,17 +345,17 @@ mod tests {
                 let buf = m.alloc_host_untimed(1, 0, bytes);
                 let t0 = ctx.wtime();
                 ctx.recv(&buf, 0, bytes, 0, 0);
-                *d.lock() = ctx.wtime() - t0;
+                *d.borrow_mut() = ctx.wtime() - t0;
             }
         });
-        let secs = *dt.lock();
+        let secs = *dt.borrow_mut();
         assert!(secs > 0.001 && secs < 0.00105, "25MB over IB ~1ms: {secs}");
     }
 
     #[test]
     fn shm_transfer_slower_than_nvlink_rate() {
-        let dt = Arc::new(Mutex::new(0.0));
-        let d = Arc::clone(&dt);
+        let dt = Rc::new(RefCell::new(0.0));
+        let d = Rc::clone(&dt);
         run_world(cfg(1, 2), move |ctx| {
             let m = ctx.machine();
             let bytes = 10_000_000u64; // 1 ms at shm 10 GB/s
@@ -363,13 +363,13 @@ mod tests {
                 let buf = m.alloc_host_untimed(0, 0, bytes);
                 let t0 = ctx.wtime();
                 ctx.send(&buf, 0, bytes, 1, 0);
-                *d.lock() = ctx.wtime() - t0;
+                *d.borrow_mut() = ctx.wtime() - t0;
             } else {
                 let buf = m.alloc_host_untimed(0, 1, bytes);
                 ctx.recv(&buf, 0, bytes, 0, 0);
             }
         });
-        let secs = *dt.lock();
+        let secs = *dt.borrow_mut();
         assert!(secs > 0.001 && secs < 0.0011, "10MB over shm ~1ms: {secs}");
     }
 
@@ -377,8 +377,8 @@ mod tests {
     fn one_rank_sends_serialize_on_progress_engine() {
         // Rank 0 sends two large messages to ranks 1 and 2 concurrently:
         // both flow through rank 0's shm engine and share its bandwidth.
-        let dt = Arc::new(Mutex::new(0.0));
-        let d = Arc::clone(&dt);
+        let dt = Rc::new(RefCell::new(0.0));
+        let d = Rc::clone(&dt);
         run_world(cfg(1, 3), move |ctx| {
             let m = ctx.machine();
             let bytes = 10_000_000u64;
@@ -389,13 +389,13 @@ mod tests {
                 let r1 = ctx.isend(&a, 0, bytes, 1, 0);
                 let r2 = ctx.isend(&b, 0, bytes, 2, 0);
                 ctx.wait_all(&[r1, r2]);
-                *d.lock() = ctx.wtime() - t0;
+                *d.borrow_mut() = ctx.wtime() - t0;
             } else {
                 let buf = m.alloc_host_untimed(0, 0, bytes);
                 ctx.recv(&buf, 0, bytes, 0, 0);
             }
         });
-        let secs = *dt.lock();
+        let secs = *dt.borrow_mut();
         assert!(secs > 0.0019, "two 1ms sends share one engine: {secs}");
     }
 
@@ -406,8 +406,8 @@ mod tests {
             id: usize,
             shape: [u64; 3],
         }
-        let got = Arc::new(Mutex::new(None));
-        let g = Arc::clone(&got);
+        let got = Rc::new(RefCell::new(None));
+        let g = Rc::clone(&got);
         run_world(cfg(1, 2), move |ctx| {
             if ctx.rank() == 0 {
                 ctx.send_obj(
@@ -419,11 +419,11 @@ mod tests {
                     },
                 );
             } else {
-                *g.lock() = Some(ctx.recv_obj::<Meta>(0, 3));
+                *g.borrow_mut() = Some(ctx.recv_obj::<Meta>(0, 3));
             }
         });
         assert_eq!(
-            got.lock().clone().unwrap(),
+            got.borrow_mut().clone().unwrap(),
             Meta {
                 id: 9,
                 shape: [1, 2, 3]
@@ -433,15 +433,15 @@ mod tests {
 
     #[test]
     fn all_gather_obj_collects_in_rank_order() {
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&out);
+        let out = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&out);
         run_world(cfg(1, 6), move |ctx| {
             let all = ctx.all_gather_obj(11, ctx.rank() * 10);
             if ctx.rank() == 3 {
-                *o.lock() = all;
+                *o.borrow_mut() = all;
             }
         });
-        assert_eq!(*out.lock(), vec![0, 10, 20, 30, 40, 50]);
+        assert_eq!(*out.borrow_mut(), vec![0, 10, 20, 30, 40, 50]);
     }
 
     #[test]
@@ -463,8 +463,8 @@ mod tests {
     fn cuda_aware_device_transfer_works_and_serializes() {
         // Two CUDA-aware messages from the same source GPU serialize on its
         // default stream.
-        let dt = Arc::new(Mutex::new(0.0));
-        let d = Arc::clone(&dt);
+        let dt = Rc::new(RefCell::new(0.0));
+        let d = Rc::clone(&dt);
         run_world(cfg(1, 3).cuda_aware(true), move |ctx| {
             let m = ctx.machine();
             let bytes = 50_000_000u64; // 1 ms on NVLink
@@ -474,7 +474,7 @@ mod tests {
                 let r1 = ctx.isend(&a, 0, bytes, 1, 0);
                 let r2 = ctx.isend(&a, 0, bytes, 2, 1);
                 ctx.wait_all(&[r1, r2]);
-                *d.lock() = ctx.wtime() - t0;
+                *d.borrow_mut() = ctx.wtime() - t0;
             } else {
                 // gpu of rank 1 is 2? ranks_per_node=3 => 2 gpus per rank
                 let g = ctx.gpus()[0];
@@ -482,7 +482,7 @@ mod tests {
                 ctx.recv(&b, 0, bytes, 0, ctx.rank() as u64 - 1);
             }
         });
-        let secs = *dt.lock();
+        let secs = *dt.borrow_mut();
         assert!(
             secs > 0.002,
             "two CA transfers from one GPU must serialize on its default stream: {secs}"
@@ -491,8 +491,8 @@ mod tests {
 
     #[test]
     fn cuda_aware_moves_real_bytes() {
-        let ok = Arc::new(Mutex::new(false));
-        let o = Arc::clone(&ok);
+        let ok = Rc::new(RefCell::new(false));
+        let o = Rc::clone(&ok);
         run_world(cfg(2, 1).cuda_aware(true), move |ctx| {
             let m = ctx.machine();
             if ctx.rank() == 0 {
@@ -504,10 +504,10 @@ mod tests {
                 ctx.recv(&buf, 0, 64, 0, 0);
                 let mut got = [0u8; 64];
                 buf.read(0, &mut got);
-                *o.lock() = got.iter().all(|&b| b == 9);
+                *o.borrow_mut() = got.iter().all(|&b| b == 9);
             }
         });
-        assert!(*ok.lock());
+        assert!(*ok.borrow_mut());
     }
 
     #[test]
@@ -568,8 +568,8 @@ mod tests {
     #[test]
     fn kill_revokes_pending_ops_and_shrinks_barrier() {
         use faultsim::FaultSchedule;
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&out);
+        let out = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&out);
         let faults = FaultSchedule::kill(1, SimDuration::from_micros(100));
         run_world(cfg(1, 2).faults(faults), move |ctx| {
             let m = ctx.machine();
@@ -579,16 +579,16 @@ mod tests {
                 let buf = m.alloc_host_untimed(0, 0, 1024);
                 let r = ctx.irecv(&buf, 0, 1024, 1, 7);
                 ctx.wait(&r);
-                o.lock().push(("revoked", r.is_revoked()));
+                o.borrow_mut().push(("revoked", r.is_revoked()));
                 assert!(!ctx.is_alive(1));
                 assert_eq!(ctx.alive_ranks(), vec![0]);
                 assert_eq!(ctx.failure_epoch(), 1);
                 // Post-kill ops against the dead rank revoke immediately.
                 let r2 = ctx.isend(&buf, 0, 1024, 1, 8);
-                o.lock().push(("posted-dead", r2.is_revoked()));
+                o.borrow_mut().push(("posted-dead", r2.is_revoked()));
                 // The shrunken barrier releases with only rank 0 arriving.
                 ctx.barrier();
-                o.lock().push(("past-barrier", true));
+                o.borrow_mut().push(("past-barrier", true));
             } else {
                 // Rank 1 parks on a message nobody sends; its death revokes
                 // the recv so the coroutine unwinds instead of deadlocking.
@@ -597,7 +597,7 @@ mod tests {
                 ctx.wait(&r);
             }
         });
-        let v = out.lock().clone();
+        let v = out.borrow_mut().clone();
         assert_eq!(
             v,
             vec![
@@ -611,8 +611,8 @@ mod tests {
     #[test]
     fn respawn_rejoins_and_rehandshakes_channels() {
         use faultsim::FaultSchedule;
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let o = Arc::clone(&out);
+        let out = Rc::new(RefCell::new(Vec::new()));
+        let o = Rc::clone(&out);
         let faults = FaultSchedule::kill_respawn(
             1,
             SimDuration::from_micros(100),
@@ -627,20 +627,22 @@ mod tests {
                 // Round 0 lands before the kill.
                 let r0 = ctx.start(&ch);
                 ctx.wait(&r0.all);
-                o.lock().push(("round0-revoked", r0.all.is_revoked()));
+                o.borrow_mut().push(("round0-revoked", r0.all.is_revoked()));
                 // Step into the death window, wait it out, then observe
                 // the revoked handle: starting it resolves immediately.
                 ctx.sim().delay(SimDuration::from_micros(200));
                 ctx.await_all_alive();
-                o.lock().push(("handle-revoked", ctx.channel_revoked(&ch)));
+                o.borrow_mut()
+                    .push(("handle-revoked", ctx.channel_revoked(&ch)));
                 let dead_round = ctx.start(&ch);
                 ctx.wait(&dead_round.all);
-                o.lock().push(("dead-start", dead_round.all.is_revoked()));
+                o.borrow_mut()
+                    .push(("dead-start", dead_round.all.is_revoked()));
                 // Re-handshake: fresh channel under the same key works.
                 let ch2 = ctx.send_init(&buf, 0, bytes, 1, 5);
                 let r1 = ctx.start(&ch2);
                 ctx.wait(&r1.all);
-                o.lock().push(("round1-revoked", r1.all.is_revoked()));
+                o.borrow_mut().push(("round1-revoked", r1.all.is_revoked()));
             } else {
                 let buf = m.alloc_host_untimed(0, 1, bytes);
                 let ch = ctx.recv_init(&buf, 0, bytes, 0, 5);
@@ -656,7 +658,7 @@ mod tests {
                 ctx.wait(&r1.all);
             }
         });
-        let v = out.lock().clone();
+        let v = out.borrow_mut().clone();
         assert_eq!(
             v,
             vec![
@@ -671,8 +673,8 @@ mod tests {
     #[test]
     fn await_respawn_wakes_at_respawn_time() {
         use faultsim::FaultSchedule;
-        let t = Arc::new(Mutex::new(0.0));
-        let tt = Arc::clone(&t);
+        let t = Rc::new(RefCell::new(0.0));
+        let tt = Rc::clone(&t);
         let faults = FaultSchedule::kill_respawn(
             1,
             SimDuration::from_micros(100),
@@ -683,14 +685,14 @@ mod tests {
                 ctx.sim().delay(SimDuration::from_micros(200));
                 assert!(!ctx.is_alive(1));
                 ctx.await_respawn(1);
-                *tt.lock() = ctx.wtime();
+                *tt.borrow_mut() = ctx.wtime();
                 assert!(ctx.is_alive(1));
                 // Already-alive waits return immediately.
                 ctx.await_respawn(1);
                 ctx.await_all_alive();
             }
         });
-        let secs = *t.lock();
+        let secs = *t.borrow_mut();
         assert!(
             (secs - 500e-6).abs() < 1e-9,
             "respawn waiter wakes at kill+down_for = 500us: {secs}"

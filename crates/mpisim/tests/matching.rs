@@ -2,11 +2,11 @@
 //! recv-before-send symmetry, many-to-many stress, self-messaging, and the
 //! rendezvous/eager latency split.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use gpusim::DataMode;
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use topo::summit::summit_cluster;
 
 fn cfg(nodes: usize, rpn: usize) -> WorldConfig {
@@ -17,8 +17,8 @@ fn cfg(nodes: usize, rpn: usize) -> WorldConfig {
 fn same_tag_messages_match_in_post_order() {
     // MPI guarantees non-overtaking for identical (src, dst, tag):
     // the first send matches the first receive.
-    let got: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let g2 = Arc::clone(&got);
+    let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
+    let g2 = Rc::clone(&got);
     run_world(cfg(1, 2), move |ctx| {
         let m = ctx.machine();
         if ctx.rank() == 0 {
@@ -33,18 +33,18 @@ fn same_tag_messages_match_in_post_order() {
                 ctx.recv(&buf, 0, 64, 0, 9);
                 let mut b = [0u8; 1];
                 buf.read(0, &mut b);
-                g2.lock().push(b[0]);
+                g2.borrow_mut().push(b[0]);
             }
         }
     });
-    assert_eq!(*got.lock(), vec![0, 1, 2, 3]);
+    assert_eq!(*got.borrow_mut(), vec![0, 1, 2, 3]);
 }
 
 #[test]
 fn send_first_and_recv_first_both_work() {
     for recv_first in [false, true] {
-        let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
-        let o2 = Arc::clone(&ok);
+        let ok: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
+        let o2 = Rc::clone(&ok);
         run_world(cfg(1, 2), move |ctx| {
             let m = ctx.machine();
             if ctx.rank() == 0 {
@@ -63,17 +63,17 @@ fn send_first_and_recv_first_both_work() {
                 ctx.recv(&buf, 0, 128, 0, 0);
                 let mut b = [0u8; 128];
                 buf.read(0, &mut b);
-                *o2.lock() = b.iter().all(|&v| v == 7);
+                *o2.borrow_mut() = b.iter().all(|&v| v == 7);
             }
         });
-        assert!(*ok.lock(), "recv_first={recv_first}");
+        assert!(*ok.borrow_mut(), "recv_first={recv_first}");
     }
 }
 
 #[test]
 fn distinct_tags_do_not_cross_match() {
-    let got: Arc<Mutex<(u8, u8)>> = Arc::new(Mutex::new((0, 0)));
-    let g2 = Arc::clone(&got);
+    let got: Rc<RefCell<(u8, u8)>> = Rc::new(RefCell::new((0, 0)));
+    let g2 = Rc::clone(&got);
     run_world(cfg(1, 2), move |ctx| {
         let m = ctx.machine();
         if ctx.rank() == 0 {
@@ -95,16 +95,16 @@ fn distinct_tags_do_not_cross_match() {
             let mut y = [0u8; 1];
             b4.read(0, &mut x);
             b5.read(0, &mut y);
-            *g2.lock() = (x[0], y[0]);
+            *g2.borrow_mut() = (x[0], y[0]);
         }
     });
-    assert_eq!(*got.lock(), (2, 1));
+    assert_eq!(*got.borrow_mut(), (2, 1));
 }
 
 #[test]
 fn self_send_works() {
-    let ok: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
-    let o2 = Arc::clone(&ok);
+    let ok: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
+    let o2 = Rc::clone(&ok);
     run_world(cfg(1, 1), move |ctx| {
         let m = ctx.machine();
         let s = m.alloc_host_untimed(0, 0, 32);
@@ -115,15 +115,15 @@ fn self_send_works() {
         ctx.wait_all(&[rr, rs]);
         let mut b = [0u8; 32];
         r.read(0, &mut b);
-        *o2.lock() = b.iter().all(|&v| v == 9);
+        *o2.borrow_mut() = b.iter().all(|&v| v == 9);
     });
-    assert!(*ok.lock());
+    assert!(*ok.borrow_mut());
 }
 
 #[test]
 fn all_to_all_stress_delivers_every_payload() {
-    let bad: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-    let b2 = Arc::clone(&bad);
+    let bad: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
+    let b2 = Rc::clone(&bad);
     run_world(cfg(2, 6), move |ctx| {
         let m = ctx.machine();
         let n = ctx.size();
@@ -154,19 +154,19 @@ fn all_to_all_stress_delivers_every_payload() {
             let mut b = [0u8; 256];
             rbuf.read(0, &mut b);
             if !b.iter().all(|&v| v == (peer * 16 + me) as u8) {
-                *b2.lock() += 1;
+                *b2.borrow_mut() += 1;
             }
         }
     });
-    assert_eq!(*bad.lock(), 0);
+    assert_eq!(*bad.borrow_mut(), 0);
 }
 
 #[test]
 fn eager_messages_skip_rendezvous_latency() {
     // A small (eager) message completes faster than a just-above-threshold
     // (rendezvous) one beyond the pure bandwidth difference.
-    let times: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let t2 = Arc::clone(&times);
+    let times: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
+    let t2 = Rc::clone(&times);
     let world = cfg(1, 2).data_mode(DataMode::Virtual);
     run_world(world, move |ctx| {
         let m = ctx.machine();
@@ -176,14 +176,14 @@ fn eager_messages_skip_rendezvous_latency() {
                 let b = m.alloc_host_untimed(0, 0, bytes);
                 let t0 = ctx.wtime();
                 ctx.send(&b, 0, bytes, 1, bytes);
-                t2.lock().push(ctx.wtime() - t0);
+                t2.borrow_mut().push(ctx.wtime() - t0);
             } else {
                 let b = m.alloc_host_untimed(0, 1, bytes);
                 ctx.recv(&b, 0, bytes, 0, bytes);
             }
         }
     });
-    let t = times.lock();
+    let t = times.borrow_mut();
     let bandwidth_delta = (8193.0 - 512.0) / 10e9; // shm rate
     let extra = t[1] - t[0] - bandwidth_delta;
     // the rendezvous handshake (3us) must be visible
@@ -197,17 +197,17 @@ fn eager_messages_skip_rendezvous_latency() {
 #[test]
 fn barrier_cost_grows_with_world_size() {
     let time_barrier = |nodes: usize| {
-        let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-        let o2 = Arc::clone(&out);
+        let out: Rc<RefCell<f64>> = Rc::new(RefCell::new(0.0));
+        let o2 = Rc::clone(&out);
         run_world(cfg(nodes, 6), move |ctx| {
             ctx.barrier(); // align
             let t0 = ctx.wtime();
             ctx.barrier();
             if ctx.rank() == 0 {
-                *o2.lock() = ctx.wtime() - t0;
+                *o2.borrow_mut() = ctx.wtime() - t0;
             }
         });
-        let v = *out.lock();
+        let v = *out.borrow_mut();
         v
     };
     let small = time_barrier(1);

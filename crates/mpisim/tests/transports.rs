@@ -2,11 +2,11 @@
 //! amortized-cost model, per-partition arrival, determinism, and the
 //! capability gates (`docs/TRANSPORTS.md`).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use detsim::SimDuration;
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use topo::summit::summit_cluster;
 
 fn cfg(nodes: usize, rpn: usize) -> WorldConfig {
@@ -17,8 +17,8 @@ fn cfg(nodes: usize, rpn: usize) -> WorldConfig {
 
 #[test]
 fn persistent_round_trip_moves_data_every_round() {
-    let ok = Arc::new(Mutex::new(0));
-    let o = Arc::clone(&ok);
+    let ok = Rc::new(RefCell::new(0));
+    let o = Rc::clone(&ok);
     run_world(cfg(1, 2), move |ctx| {
         let m = ctx.machine();
         let bytes = 4096u64;
@@ -39,12 +39,16 @@ fn persistent_round_trip_moves_data_every_round() {
                 let mut got = vec![0u8; bytes as usize];
                 buf.read(0, &mut got);
                 if got.iter().all(|&b| b == round + 1) {
-                    *o.lock() += 1;
+                    *o.borrow_mut() += 1;
                 }
             }
         }
     });
-    assert_eq!(*ok.lock(), 3, "every round must deliver that round's bytes");
+    assert_eq!(
+        *ok.borrow_mut(),
+        3,
+        "every round must deliver that round's bytes"
+    );
 }
 
 #[test]
@@ -55,8 +59,8 @@ fn persistent_start_cheaper_than_isend_per_iteration() {
     let bytes = 1024u64;
     let iters = 16;
     let run = |persistent: bool| {
-        let dt = Arc::new(Mutex::new(0.0));
-        let d = Arc::clone(&dt);
+        let dt = Rc::new(RefCell::new(0.0));
+        let d = Rc::clone(&dt);
         run_world(cfg(1, 2), move |ctx| {
             let m = ctx.machine();
             let me = ctx.rank();
@@ -84,10 +88,10 @@ fn persistent_start_cheaper_than_isend_per_iteration() {
                 }
             }
             if me == 0 {
-                *d.lock() = ctx.wtime() - t0;
+                *d.borrow_mut() = ctx.wtime() - t0;
             }
         });
-        let t = *dt.lock();
+        let t = *dt.borrow_mut();
         t
     };
     let nonblocking = run(false);
@@ -111,8 +115,8 @@ fn persistent_skips_rendezvous_after_first_round() {
     // A message over the eager threshold pays the rendezvous handshake on
     // round 0 only: the match is negotiated once per channel.
     let bytes = 100_000u64; // > 8192 eager threshold
-    let times = Arc::new(Mutex::new(Vec::new()));
-    let t = Arc::clone(&times);
+    let times = Rc::new(RefCell::new(Vec::new()));
+    let t = Rc::clone(&times);
     run_world(cfg(1, 2), move |ctx| {
         let m = ctx.machine();
         let me = ctx.rank();
@@ -128,11 +132,11 @@ fn persistent_skips_rendezvous_after_first_round() {
             let r = ctx.start(&ch);
             ctx.wait(&r.all);
             if me == 0 {
-                t.lock().push(ctx.wtime() - t0);
+                t.borrow_mut().push(ctx.wtime() - t0);
             }
         }
     });
-    let v = times.lock().clone();
+    let v = times.borrow_mut().clone();
     let saved = v[0] - v[1];
     assert!(
         (saved - 3e-6).abs() < 0.5e-6,
@@ -148,10 +152,10 @@ fn partitioned_parts_arrive_incrementally_with_data() {
     // land without waiting for the rest of the message.
     let bytes = 40_000u64;
     let parts = 4usize;
-    let arrivals = Arc::new(Mutex::new(Vec::new()));
-    let a = Arc::clone(&arrivals);
-    let ok = Arc::new(Mutex::new(false));
-    let o = Arc::clone(&ok);
+    let arrivals = Rc::new(RefCell::new(Vec::new()));
+    let a = Rc::clone(&arrivals);
+    let ok = Rc::new(RefCell::new(false));
+    let o = Rc::clone(&ok);
     run_world(cfg(1, 2), move |ctx| {
         let m = ctx.machine();
         if ctx.rank() == 0 {
@@ -171,16 +175,16 @@ fn partitioned_parts_arrive_incrementally_with_data() {
             let r = ctx.start(&ch);
             for p in 0..parts {
                 ctx.sim().wait(&r.parts[p]);
-                a.lock().push(ctx.wtime());
+                a.borrow_mut().push(ctx.wtime());
             }
             ctx.wait(&r.all);
             let mut got = vec![0u8; bytes as usize];
             buf.read(0, &mut got);
-            *o.lock() = got.iter().all(|&b| b == 5);
+            *o.borrow_mut() = got.iter().all(|&b| b == 5);
         }
     });
-    assert!(*ok.lock(), "all partitions must deliver their bytes");
-    let v = arrivals.lock().clone();
+    assert!(*ok.borrow_mut(), "all partitions must deliver their bytes");
+    let v = arrivals.borrow_mut().clone();
     assert_eq!(v.len(), parts);
     for w in v.windows(2) {
         let gap = w[1] - w[0];
@@ -209,8 +213,8 @@ fn persistent_equals_nonblocking_when_reuse_is_free() {
             let mut cfg = cfg(nodes, rpn);
             cfg.mpi_cost.persistent_start_overhead = cfg.mpi_cost.call_overhead;
             let init_cost = cfg.mpi_cost.call_overhead;
-            let data = Arc::new(Mutex::new(Vec::new()));
-            let d = Arc::clone(&data);
+            let data = Rc::new(RefCell::new(Vec::new()));
+            let d = Rc::clone(&data);
             let rep = run_world(cfg, move |ctx| {
                 let m = ctx.machine();
                 let me = ctx.rank();
@@ -249,9 +253,9 @@ fn persistent_equals_nonblocking_when_reuse_is_free() {
                 }
                 let mut got = vec![0u8; bytes as usize];
                 rbuf.read(0, &mut got);
-                d.lock().push((me, got));
+                d.borrow_mut().push((me, got));
             });
-            let mut v = data.lock().clone();
+            let mut v = data.borrow_mut().clone();
             v.sort();
             (rep.elapsed, rep.nic_injected.clone(), v)
         };
@@ -278,8 +282,8 @@ fn partitioned_arrival_order_deterministic_across_runs() {
     // per-partition arrival times and the final virtual time must be
     // bit-identical across runs.
     let run = || {
-        let arrivals = Arc::new(Mutex::new(Vec::new()));
-        let a = Arc::clone(&arrivals);
+        let arrivals = Rc::new(RefCell::new(Vec::new()));
+        let a = Rc::clone(&arrivals);
         let elapsed = run_world(cfg(2, 6), move |ctx| {
             let m = ctx.machine();
             let bytes = 30_000u64;
@@ -301,13 +305,13 @@ fn partitioned_arrival_order_deterministic_across_runs() {
                 }
                 for p in 0..parts {
                     ctx.sim().wait(&rr.parts[p]);
-                    a.lock().push((me, p, ctx.sim().now().picos()));
+                    a.borrow_mut().push((me, p, ctx.sim().now().picos()));
                 }
                 ctx.wait(&sr.all);
             }
         })
         .elapsed;
-        let got = arrivals.lock().clone();
+        let got = arrivals.borrow_mut().clone();
         (elapsed, got)
     };
     let (e1, a1) = run();

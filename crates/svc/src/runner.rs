@@ -15,13 +15,14 @@
 //! on other workers — the property `crates/svc/tests/determinism.rs`
 //! pins.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use faultsim::FaultSchedule;
 use gpusim::DataMode;
 use mpisim::{run_world, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::{DomainBuilder, Method, Neighborhood, Placement};
 
 use crate::spec::{FaultScenario, JobSpec};
@@ -77,10 +78,10 @@ pub fn execute(spec: &JobSpec) -> RunOutcome {
 /// ([`POISON_PANIC`]); the service catches and classifies them.
 pub fn execute_with(spec: &JobSpec, hooks: RunHooks) -> RunOutcome {
     let num_ranks = spec.num_ranks();
-    let times: Arc<Mutex<Vec<Vec<f64>>>> = Arc::new(Mutex::new(vec![Vec::new(); num_ranks]));
-    let plan_out: Arc<Mutex<String>> = Arc::new(Mutex::new(String::new()));
-    let t2 = Arc::clone(&times);
-    let p2 = Arc::clone(&plan_out);
+    let times = Rc::new(RefCell::new(vec![Vec::new(); num_ranks]));
+    let plan_out = Rc::new(RefCell::new(String::new()));
+    let t2 = Rc::clone(&times);
+    let p2 = Rc::clone(&plan_out);
     // Rank kill/respawn scenarios cannot be installed at world start: the
     // kill could land mid-build (empirical probes, the IPC handshake),
     // where the domain has no recovery protocol. Defer the whole schedule
@@ -137,7 +138,7 @@ pub fn execute_with(spec: &JobSpec, hooks: RunHooks) -> RunOutcome {
         }
         let mut dom = builder.build(ctx);
         if ctx.rank() == 0 {
-            *p2.lock() = dom.plan_summary().to_string();
+            *p2.borrow_mut() = dom.plan_summary().to_string();
         }
         if rank_fault {
             let me = ctx.rank();
@@ -173,14 +174,14 @@ pub fn execute_with(spec: &JobSpec, hooks: RunHooks) -> RunOutcome {
             dom.exchange(ctx);
             mine.push(ctx.wtime() - t0);
         }
-        t2.lock()[ctx.rank()] = mine;
+        t2.borrow_mut()[ctx.rank()] = mine;
     });
-    let per_rank = times.lock().clone();
+    let per_rank = times.take();
     let per_iter: Vec<f64> = (0..spec.iters)
         .map(|i| per_rank.iter().map(|r| r[i]).fold(0.0f64, f64::max))
         .collect();
     let mean = per_iter.iter().sum::<f64>() / per_iter.len().max(1) as f64;
-    let plan = plan_out.lock().clone();
+    let plan = plan_out.take();
     RunOutcome {
         per_iter,
         mean,

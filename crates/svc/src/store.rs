@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::result::{JobResult, JobStatus};
 
@@ -83,7 +82,7 @@ impl ResultStore {
     /// Append one result as a JSONL line (serialized across threads).
     pub fn append(&self, result: &JobResult) -> std::io::Result<()> {
         let line = result.to_json();
-        let mut f = self.file.lock();
+        let mut f = self.file.lock().expect("a worker panicked while appending");
         f.write_all(line.as_bytes())?;
         f.write_all(b"\n")?;
         f.flush()

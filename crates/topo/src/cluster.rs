@@ -150,6 +150,10 @@ impl SwitchHierarchy {
     }
 }
 
+/// Initial capacity of a returned path: the deepest route the presets build
+/// (an internode host path) is 7 links.
+const PATH_CAPACITY: usize = 8;
+
 /// The instantiated machine: every directed link of every node, plus
 /// injection/ejection links, registered with a [`Kernel`]. Provides directed
 /// link paths for the transfers the upper layers perform.
@@ -164,6 +168,10 @@ pub struct Fabric {
     inject: Vec<LinkId>,
     /// `eject[node]`: switch -> NIC.
     eject: Vec<LinkId>,
+    /// Node-local route of every ordered component pair, computed once
+    /// here: `routes[from * components + to]` lists `(link index, a -> b
+    /// direction?)` hops, `None` when disconnected. The same for every node.
+    routes: Vec<Option<Vec<(usize, bool)>>>,
 }
 
 impl Fabric {
@@ -202,13 +210,59 @@ impl Fabric {
                 ));
             }
         }
+        let node = &spec.node;
+        let routes = (0..node.components.len())
+            .flat_map(|from| {
+                let from = CompId(from);
+                node.routes_from(from).into_iter().map(move |route| {
+                    let mut cur = from;
+                    let hops = route?.into_iter().map(|li| {
+                        let l = &node.links[li];
+                        let forward = l.a == cur;
+                        debug_assert!(forward || l.b == cur, "route is not contiguous");
+                        cur = if forward { l.b } else { l.a };
+                        (li, forward)
+                    });
+                    Some(hops.collect())
+                })
+            })
+            .collect();
         Fabric {
             spec,
             fwd,
             rev,
             inject,
             eject,
+            routes,
         }
+    }
+
+    /// Append the directed simulator links from `from` to `to` on `node`.
+    fn push_node_path(&self, path: &mut Vec<LinkId>, node: usize, from: CompId, to: CompId) {
+        let comps = self.spec.node.components.len();
+        let route = self.routes[from.0 * comps + to.0]
+            .as_ref()
+            .unwrap_or_else(|| panic!("no route {from:?} -> {to:?} in node spec"));
+        path.extend(route.iter().map(|&(li, forward)| {
+            if forward {
+                self.fwd[node][li]
+            } else {
+                self.rev[node][li]
+            }
+        }));
+    }
+
+    /// Inter-node path: `c1` on `n1` to the NIC, injection, ejection, NIC to
+    /// `c2` on `n2`.
+    fn internode_path(&self, n1: usize, c1: CompId, n2: usize, c2: CompId) -> Vec<LinkId> {
+        assert_ne!(n1, n2, "internode path within one node");
+        let nic = self.spec.node.nic(0);
+        let mut path = Vec::with_capacity(PATH_CAPACITY);
+        self.push_node_path(&mut path, n1, c1, nic);
+        path.push(self.inject[n1]);
+        path.push(self.eject[n2]);
+        self.push_node_path(&mut path, n2, nic, c2);
+        path
     }
 
     /// The cluster description this fabric was built from.
@@ -223,25 +277,8 @@ impl Fabric {
 
     /// Directed simulator-link path between two components of one node.
     pub fn node_path(&self, node: usize, from: CompId, to: CompId) -> Vec<LinkId> {
-        let route = self
-            .spec
-            .node
-            .route(from, to)
-            .unwrap_or_else(|| panic!("no route {from:?} -> {to:?} in node spec"));
-        let mut cur = from;
-        let mut path = Vec::with_capacity(route.len());
-        for li in route {
-            let l = &self.spec.node.links[li];
-            if l.a == cur {
-                path.push(self.fwd[node][li]);
-                cur = l.b;
-            } else {
-                debug_assert_eq!(l.b, cur, "route is not contiguous");
-                path.push(self.rev[node][li]);
-                cur = l.a;
-            }
-        }
-        debug_assert_eq!(cur, to);
+        let mut path = Vec::with_capacity(PATH_CAPACITY);
+        self.push_node_path(&mut path, node, from, to);
         path
     }
 
@@ -273,39 +310,23 @@ impl Fabric {
         n2: usize,
         socket2: usize,
     ) -> Vec<LinkId> {
-        assert_ne!(n1, n2, "internode path within one node");
-        let nic = self.spec.node.nic(0);
-        let mut path = self.node_path(n1, self.spec.node.cpu(socket1), nic);
-        path.push(self.inject[n1]);
-        path.push(self.eject[n2]);
-        path.extend(self.node_path(n2, nic, self.spec.node.cpu(socket2)));
-        path
+        let node = &self.spec.node;
+        self.internode_path(n1, node.cpu(socket1), n2, node.cpu(socket2))
     }
 
     /// Inter-node path directly between two GPUs (the GPUDirect-style route
     /// used by CUDA-aware MPI): source GPU to its node's NIC, across the
     /// switch, NIC to destination GPU.
     pub fn internode_gpu_path(&self, n1: usize, g1: usize, n2: usize, g2: usize) -> Vec<LinkId> {
-        assert_ne!(n1, n2, "internode path within one node");
-        let nic = self.spec.node.nic(0);
-        let mut path = self.node_path(n1, self.spec.node.gpu(g1), nic);
-        path.push(self.inject[n1]);
-        path.push(self.eject[n2]);
-        path.extend(self.node_path(n2, nic, self.spec.node.gpu(g2)));
-        path
+        let node = &self.spec.node;
+        self.internode_path(n1, node.gpu(g1), n2, node.gpu(g2))
     }
 
     /// Inter-node path between two arbitrary components (e.g. a GPU on one
     /// node and a CPU socket on another, as in a CUDA-aware send with a
     /// device buffer on one side only).
     pub fn internode_comp_path(&self, n1: usize, c1: CompId, n2: usize, c2: CompId) -> Vec<LinkId> {
-        assert_ne!(n1, n2, "internode path within one node");
-        let nic = self.spec.node.nic(0);
-        let mut path = self.node_path(n1, c1, nic);
-        path.push(self.inject[n1]);
-        path.push(self.eject[n2]);
-        path.extend(self.node_path(n2, nic, c2));
-        path
+        self.internode_path(n1, c1, n2, c2)
     }
 
     /// Injection link of a node (diagnostics: delivered-bytes accounting).

@@ -172,17 +172,19 @@ impl NodeSpec {
     /// [`NodeSpec::links`]. `None` if disconnected. An `(a, a)` route is the
     /// empty sequence.
     pub fn route(&self, from: CompId, to: CompId) -> Option<Vec<usize>> {
-        if from == to {
-            return Some(Vec::new());
-        }
-        // BFS over the component graph.
+        self.routes_from(from).swap_remove(to.0)
+    }
+
+    /// [`NodeSpec::route`] from `from` to every component (indexed by
+    /// component id), from one breadth-first search.
+    pub fn routes_from(&self, from: CompId) -> Vec<Option<Vec<usize>>> {
         let n = self.components.len();
         let mut prev: Vec<Option<(CompId, usize)>> = vec![None; n];
         let mut visited = vec![false; n];
         let mut queue = std::collections::VecDeque::new();
         visited[from.0] = true;
         queue.push_back(from);
-        'bfs: while let Some(c) = queue.pop_front() {
+        while let Some(c) = queue.pop_front() {
             for (li, l) in self.links.iter().enumerate() {
                 let next = if l.a == c {
                     l.b
@@ -196,24 +198,25 @@ impl NodeSpec {
                 }
                 visited[next.0] = true;
                 prev[next.0] = Some((c, li));
-                if next == to {
-                    break 'bfs;
-                }
                 queue.push_back(next);
             }
         }
-        if !visited[to.0] {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = to;
-        while cur != from {
-            let (p, li) = prev[cur.0].expect("BFS chain broken");
-            path.push(li);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
+        (0..n)
+            .map(|to| {
+                if !visited[to] {
+                    return None;
+                }
+                let mut path = Vec::new();
+                let mut cur = CompId(to);
+                while cur != from {
+                    let (p, li) = prev[cur.0].expect("BFS chain broken");
+                    path.push(li);
+                    cur = p;
+                }
+                path.reverse();
+                Some(path)
+            })
+            .collect()
     }
 
     /// Whether the route between two GPUs stays on GPU/CPU fabric (i.e. does

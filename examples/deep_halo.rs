@@ -9,10 +9,10 @@
 //! cargo run --release -p stencil-examples --bin deep_halo
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{run_world, RankCtx, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::{DistributedDomain, DomainBuilder, Methods, Neighborhood};
 use stencil_examples::{jacobi_signed_region_work, SerialGrid};
 use topo::summit::summit_cluster;
@@ -100,8 +100,8 @@ fn verify(dom: &DistributedDomain) -> f32 {
 type RunResult = (usize, f64, f32, String);
 
 fn main() {
-    let results: Arc<Mutex<Vec<RunResult>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = Arc::clone(&results);
+    let results: Rc<RefCell<Vec<RunResult>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&results);
     run_world(WorldConfig::new(summit_cluster(1), 6), move |ctx| {
         for period in [1usize, 2, 4] {
             // One domain per period: the halo depth is the exchange period.
@@ -114,7 +114,7 @@ fn main() {
             let dt = run_schedule(ctx, &dom, period);
             let err = verify(&dom);
             if ctx.rank() == 0 {
-                r2.lock()
+                r2.borrow_mut()
                     .push((period, dt, err, dom.plan_summary().to_string()));
             }
             ctx.barrier();
@@ -122,7 +122,7 @@ fn main() {
     });
     println!("deep_halo: {STEPS} Jacobi steps on {DOMAIN:?}, 1 node x 6 ranks");
     println!("(halo depth = exchange period; ghost rings computed redundantly in between)\n");
-    for (period, dt, err, plan) in results.lock().iter() {
+    for (period, dt, err, plan) in results.borrow_mut().iter() {
         println!(
             "  exchange every {period} step(s), halo depth {period}: {:8.3} ms   err {err:e}",
             dt * 1e3

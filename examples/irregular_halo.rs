@@ -18,10 +18,10 @@
 //! cargo run --release -p stencil-examples --bin irregular_halo
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{run_world, RankCtx, WorldConfig};
-use parking_lot::Mutex;
 use topo::summit::summit_cluster;
 
 const NODES: usize = 2;
@@ -136,20 +136,20 @@ fn sweep_loop(ctx: &RankCtx, persistent: bool) -> (f64, Vec<f64>) {
 }
 
 fn run(persistent: bool) -> (f64, Vec<Vec<f64>>) {
-    let out: Arc<Mutex<(f64, Vec<Vec<f64>>)>> = Arc::new(Mutex::new((0.0, Vec::new())));
-    let o = Arc::clone(&out);
+    let out: Rc<RefCell<(f64, Vec<Vec<f64>>)>> = Rc::new(RefCell::new((0.0, Vec::new())));
+    let o = Rc::clone(&out);
     run_world(
         WorldConfig::new(summit_cluster(NODES), RPN).mpi_persistent(true),
         move |ctx| {
             let (dt, sums) = sweep_loop(ctx, persistent);
-            let mut g = o.lock();
+            let mut g = o.borrow_mut();
             if ctx.rank() == 0 {
                 g.0 = dt;
             }
             g.1.push(sums);
         },
     );
-    let mut g = out.lock().clone();
+    let mut g = out.borrow_mut().clone();
     g.1.sort_by(|a, b| a.partial_cmp(b).unwrap());
     (g.0, g.1)
 }

@@ -17,10 +17,10 @@
 //! schedules is printed as a table and written to `PATH` as JSON (see
 //! `docs/OBSERVABILITY.md`).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{run_world, RankCtx, WorldConfig};
-use parking_lot::Mutex;
 use stencil_core::{DistributedDomain, DomainBuilder, Methods, Neighborhood};
 use stencil_examples::{jacobi_region_work, jacobi_traffic, shell_boxes, SerialGrid};
 use topo::summit::summit_cluster;
@@ -138,8 +138,8 @@ fn metrics_path() -> Option<String> {
 
 fn main() {
     let metrics = metrics_path();
-    let results: Arc<Mutex<Vec<(bool, f64, f32)>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = Arc::clone(&results);
+    let results: Rc<RefCell<Vec<(bool, f64, f32)>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&results);
     // 2 nodes x 3 ranks x 2 GPUs: peer, colocated, and staged paths are all
     // exercised in one run.
     let world = WorldConfig::new(summit_cluster(2), 3).metrics(metrics.is_some());
@@ -154,13 +154,13 @@ fn main() {
             let dt = run_steps(ctx, &dom, overlap);
             let err = verify(&dom);
             if ctx.rank() == 0 {
-                r2.lock().push((overlap, dt, err));
+                r2.borrow_mut().push((overlap, dt, err));
             }
             ctx.barrier();
         }
     });
     println!("jacobi3d: {STEPS} steps on {DOMAIN:?}, 2 nodes x 3 ranks x 2 GPUs");
-    let res = results.lock();
+    let res = results.borrow_mut();
     for (overlap, dt, err) in res.iter() {
         println!(
             "  {:<22} {:8.3} ms   max err vs serial: {err:e}",

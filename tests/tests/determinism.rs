@@ -2,9 +2,9 @@
 //! across repeated runs, identical placements on every rank, identical
 //! traces.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use stencil_bench::{measure_exchange, ExchangeConfig};
 use stencil_core::{DomainBuilder, Methods};
 use topo::summit::summit_cluster;
@@ -55,8 +55,8 @@ fn repeated_exchanges_take_identical_time() {
 
 #[test]
 fn every_rank_computes_the_same_placement() {
-    let placements: Arc<Mutex<Vec<Vec<usize>>>> = Arc::new(Mutex::new(Vec::new()));
-    let p2 = Arc::clone(&placements);
+    let placements: Rc<RefCell<Vec<Vec<usize>>>> = Rc::new(RefCell::new(Vec::new()));
+    let p2 = Rc::clone(&placements);
     let world = mpisim::WorldConfig::new(summit_cluster(2), 6);
     mpisim::run_world(world, move |ctx| {
         let dom = DomainBuilder::new([1440, 1452, 700])
@@ -66,9 +66,9 @@ fn every_rank_computes_the_same_placement() {
         let mine: Vec<usize> = (0..2)
             .flat_map(|n| dom.placement(n).gpu_for_subdomain.clone())
             .collect();
-        p2.lock().push(mine);
+        p2.borrow_mut().push(mine);
     });
-    let all = placements.lock();
+    let all = placements.borrow_mut();
     assert_eq!(all.len(), 12);
     for p in all.iter() {
         assert_eq!(p, &all[0], "ranks disagree on placement");
