@@ -22,6 +22,15 @@ cargo test --offline --workspace -q
 echo "==> cargo test --doc"
 cargo test --offline --workspace --doc -q
 
+echo "==> sanitizer lane (ASan+LSan over detsim and gpusim: fiber runtime, inline closure storage, slabs)"
+# Any AddressSanitizer or LeakSanitizer report fails the run. The fiber
+# switch is not annotated for the sanitizer, so stack-use checks across
+# switches are not covered here.
+ASAN_OPTIONS=detect_leaks=1 \
+    RUSTFLAGS="-Zsanitizer=address" RUSTDOCFLAGS="-Zsanitizer=address" \
+    CARGO_TARGET_DIR=target/asan \
+    cargo +nightly test --offline --target x86_64-unknown-linux-gnu -p detsim -p gpusim --lib --tests
+
 echo "==> markdown link check (doccheck)"
 ./target/release/doccheck .
 

@@ -58,7 +58,7 @@ fn main() {
     let mut k = Kernel::new();
     let fabric = Fabric::build(&mut k, summit_cluster(2));
     println!("Zero-contention path capacities (GB/s) through the fabric:");
-    let cases: Vec<(&str, Vec<detsim::LinkId>)> = vec![
+    let cases: Vec<(&str, detsim::Path)> = vec![
         ("GPU0 -> GPU1 (triad)", fabric.gpu_gpu_path(0, 0, 1)),
         ("GPU0 -> GPU3 (cross-socket)", fabric.gpu_gpu_path(0, 0, 3)),
         ("GPU0 -> host (D2H)", fabric.gpu_to_host_path(0, 0)),

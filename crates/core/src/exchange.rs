@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use detsim::{Completion, Kernel};
-use gpusim::{Buffer, Stream, Work};
+use gpusim::{Buffer, DataMode, GpuMachine, Stream, Work};
 use mpisim::{Channel, ChannelRound, RankCtx, Request};
 
 use crate::dim3::Dim3;
@@ -174,8 +174,26 @@ fn partition_range(bytes: u64, parts: usize, part: usize) -> (u64, u64) {
     (off, chunk.min(bytes - off))
 }
 
-fn make_pack_work(arrays: Vec<Buffer>, dims: Dim3, elem: usize, reg: Region, out: Buffer) -> Work {
-    Box::new(move || {
+/// Host-side pack/unpack work exists only in full-data mode: virtual-mode
+/// buffers hold no bytes, so the closure (and the array list it clones)
+/// would be allocated for nothing.
+fn full_data(m: &GpuMachine) -> bool {
+    m.data_mode() == DataMode::Full
+}
+
+fn make_pack_work(
+    m: &GpuMachine,
+    arrays: &[Buffer],
+    dims: Dim3,
+    elem: usize,
+    reg: Region,
+    out: &Buffer,
+) -> Option<Work> {
+    if !full_data(m) {
+        return None;
+    }
+    let (arrays, out) = (arrays.to_vec(), out.clone());
+    Some(Box::new(move || {
         if !out.has_data() {
             return;
         }
@@ -187,17 +205,22 @@ fn make_pack_work(arrays: Vec<Buffer>, dims: Dim3, elem: usize, reg: Region, out
                 })
             });
         }
-    })
+    }))
 }
 
 fn make_unpack_work(
-    arrays: Vec<Buffer>,
+    m: &GpuMachine,
+    arrays: &[Buffer],
     dims: Dim3,
     elem: usize,
     reg: Region,
-    inp: Buffer,
-) -> Work {
-    Box::new(move || {
+    inp: &Buffer,
+) -> Option<Work> {
+    if !full_data(m) {
+        return None;
+    }
+    let (arrays, inp) = (arrays.to_vec(), inp.clone());
+    Some(Box::new(move || {
         if !inp.has_data() {
             return;
         }
@@ -209,15 +232,19 @@ fn make_unpack_work(
                 })
             });
         }
-    })
+    }))
 }
 
-fn make_group_pack_work(segments: &[Segment], out: Buffer) -> Work {
+fn make_group_pack_work(m: &GpuMachine, segments: &[Segment], out: &Buffer) -> Option<Work> {
+    if !full_data(m) {
+        return None;
+    }
     let segs: Vec<(Vec<Buffer>, Dim3, usize, Region, u64)> = segments
         .iter()
         .map(|s| (s.arrays.clone(), s.dims, s.elem, s.region, s.offset))
         .collect();
-    Box::new(move || {
+    let out = out.clone();
+    Some(Box::new(move || {
         if !out.has_data() {
             return;
         }
@@ -231,24 +258,29 @@ fn make_group_pack_work(segments: &[Segment], out: Buffer) -> Work {
                 });
             }
         }
-    })
+    }))
 }
 
 fn make_self_exchange_work(
-    arrays: Vec<Buffer>,
+    m: &GpuMachine,
+    arrays: &[Buffer],
     dims: Dim3,
     elem: usize,
     from: Region,
     to: Region,
-) -> Work {
-    Box::new(move || {
+) -> Option<Work> {
+    if !full_data(m) {
+        return None;
+    }
+    let arrays = arrays.to_vec();
+    Some(Box::new(move || {
         for a in &arrays {
             if !a.has_data() {
                 return;
             }
             a.with_data(|arr| region::copy_region(arr, dims, elem, from, to));
         }
-    })
+    }))
 }
 
 /// Build the specialized communication plan for this rank (setup phase 3).
@@ -904,58 +936,38 @@ impl DistributedDomain {
             match sp.method {
                 Method::Kernel => {
                     let work = make_self_exchange_work(
-                        sp.arrays.clone(),
+                        &m,
+                        &sp.arrays,
                         sp.dims,
                         sp.elem,
                         sp.src_region,
                         sp.self_dst_region,
                     );
-                    let done = m.launch_kernel(
-                        ctx.sim(),
-                        sp.stream,
-                        "self-exchange",
-                        sp.bytes,
-                        Some(work),
-                    );
+                    let done =
+                        m.launch_kernel(ctx.sim(), sp.stream, "self-exchange", sp.bytes, work);
                     pending.push((Method::Kernel, done));
                 }
                 Method::PeerMemcpy => {
                     let rp = &self.recv_plans[sp.peer_recv.expect("linked at setup")];
                     let pack_buf = sp.pack_buf.as_ref().unwrap();
                     let recv_buf = rp.recv_dev_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
+                    let pack =
+                        make_pack_work(&m, &sp.arrays, sp.dims, sp.elem, sp.src_region, pack_buf);
+                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, pack);
                     m.memcpy_async(ctx.sim(), sp.stream, recv_buf, 0, pack_buf, 0, sp.bytes);
                     let ev = m.record_event(ctx.sim(), sp.stream);
                     m.stream_wait_event(ctx.sim(), rp.stream, &ev);
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        recv_buf.clone(),
-                    );
-                    let done =
-                        m.launch_kernel(ctx.sim(), rp.stream, "unpack", rp.bytes, Some(unpack));
+                    let unpack =
+                        make_unpack_work(&m, &rp.arrays, rp.dims, rp.elem, rp.dst_region, recv_buf);
+                    let done = m.launch_kernel(ctx.sim(), rp.stream, "unpack", rp.bytes, unpack);
                     pending.push((Method::PeerMemcpy, done));
                 }
                 Method::ColocatedMemcpy => {
                     let pack_buf = sp.pack_buf.as_ref().unwrap();
                     let remote = sp.remote_buf.as_ref().expect("IPC handshake done at setup");
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
+                    let pack =
+                        make_pack_work(&m, &sp.arrays, sp.dims, sp.elem, sp.src_region, pack_buf);
+                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, pack);
                     let copied =
                         m.memcpy_async(ctx.sim(), sp.stream, remote, 0, pack_buf, 0, sp.bytes);
                     let mailbox = sp.mailbox.clone().unwrap();
@@ -968,14 +980,9 @@ impl DistributedDomain {
                 }
                 Method::CudaAwareMpi => {
                     let pack_buf = sp.pack_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
+                    let pack =
+                        make_pack_work(&m, &sp.arrays, sp.dims, sp.elem, sp.src_region, pack_buf);
+                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, pack);
                     let pack_ev = m.record_event(ctx.sim(), sp.stream);
                     machines.push(Machine::CaSend {
                         plan: si,
@@ -986,14 +993,9 @@ impl DistributedDomain {
                 Method::Staged => {
                     let pack_buf = sp.pack_buf.as_ref().unwrap();
                     let host_buf = sp.host_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
+                    let pack =
+                        make_pack_work(&m, &sp.arrays, sp.dims, sp.elem, sp.src_region, pack_buf);
+                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, pack);
                     m.memcpy_async(ctx.sim(), sp.stream, host_buf, 0, pack_buf, 0, sp.bytes);
                     let staged_ev = m.record_event(ctx.sim(), sp.stream);
                     machines.push(Machine::StagedSend {
@@ -1008,14 +1010,9 @@ impl DistributedDomain {
                     // no per-iteration match) once staging completes.
                     let pack_buf = sp.pack_buf.as_ref().unwrap();
                     let host_buf = sp.host_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
+                    let pack =
+                        make_pack_work(&m, &sp.arrays, sp.dims, sp.elem, sp.src_region, pack_buf);
+                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, pack);
                     m.memcpy_async(ctx.sim(), sp.stream, host_buf, 0, pack_buf, 0, sp.bytes);
                     let staged_ev = m.record_event(ctx.sim(), sp.stream);
                     machines.push(Machine::PersistentSend {
@@ -1031,14 +1028,9 @@ impl DistributedDomain {
                     // the wire while later ones still stage.
                     let pack_buf = sp.pack_buf.as_ref().unwrap();
                     let host_buf = sp.host_buf.as_ref().unwrap();
-                    let pack = make_pack_work(
-                        sp.arrays.clone(),
-                        sp.dims,
-                        sp.elem,
-                        sp.src_region,
-                        pack_buf.clone(),
-                    );
-                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, Some(pack));
+                    let pack =
+                        make_pack_work(&m, &sp.arrays, sp.dims, sp.elem, sp.src_region, pack_buf);
+                    m.launch_kernel(ctx.sim(), sp.stream, "pack", sp.bytes, pack);
                     let chan = sp.chan.as_ref().unwrap();
                     let parts = chan.parts();
                     let mut d2h_evs = Vec::with_capacity(parts);
@@ -1060,8 +1052,8 @@ impl DistributedDomain {
         // Consolidated sends: one combined pack kernel, one D2H, then the
         // state machine posts the single Isend when staging completes.
         for (i, gp) in self.grouped_send_plans.iter().enumerate() {
-            let pack = make_group_pack_work(&gp.segments, gp.pack_buf.clone());
-            m.launch_kernel(ctx.sim(), gp.stream, "pack-group", gp.bytes, Some(pack));
+            let pack = make_group_pack_work(&m, &gp.segments, &gp.pack_buf);
+            m.launch_kernel(ctx.sim(), gp.stream, "pack-group", gp.bytes, pack);
             m.memcpy_async(
                 ctx.sim(),
                 gp.stream,
@@ -1143,20 +1135,10 @@ impl DistributedDomain {
                         0,
                         rp.bytes,
                     );
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
+                    let unpack =
+                        make_unpack_work(&m, &rp.arrays, rp.dims, rp.elem, rp.dst_region, dev);
+                    *unpack_ev =
+                        Some(m.launch_kernel(ctx.sim(), rp.stream, "unpack", rp.bytes, unpack));
                 }
                 let ev = unpack_ev.as_ref().unwrap();
                 if ev.is_done() {
@@ -1208,20 +1190,10 @@ impl DistributedDomain {
                         0,
                         rp.bytes,
                     );
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
+                    let unpack =
+                        make_unpack_work(&m, &rp.arrays, rp.dims, rp.elem, rp.dst_region, dev);
+                    *unpack_ev =
+                        Some(m.launch_kernel(ctx.sim(), rp.stream, "unpack", rp.bytes, unpack));
                 }
                 let ev = unpack_ev.as_ref().unwrap();
                 if ev.is_done() {
@@ -1283,20 +1255,10 @@ impl DistributedDomain {
                     }
                     timing.phase("wait", since_start(ctx));
                     let dev = rp.recv_dev_buf.as_ref().unwrap();
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
+                    let unpack =
+                        make_unpack_work(&m, &rp.arrays, rp.dims, rp.elem, rp.dst_region, dev);
+                    *unpack_ev =
+                        Some(m.launch_kernel(ctx.sim(), rp.stream, "unpack", rp.bytes, unpack));
                 }
                 let ev = unpack_ev.as_ref().unwrap();
                 if ev.is_done() {
@@ -1341,20 +1303,10 @@ impl DistributedDomain {
                     }
                     timing.phase("wait", since_start(ctx));
                     let dev = rp.recv_dev_buf.as_ref().unwrap();
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
+                    let unpack =
+                        make_unpack_work(&m, &rp.arrays, rp.dims, rp.elem, rp.dst_region, dev);
+                    *unpack_ev =
+                        Some(m.launch_kernel(ctx.sim(), rp.stream, "unpack", rp.bytes, unpack));
                 }
                 let ev = unpack_ev.as_ref().unwrap();
                 if ev.is_done() {
@@ -1412,20 +1364,9 @@ impl DistributedDomain {
                             seg.offset,
                             seg.bytes,
                         );
-                        let unpack = make_unpack_work(
-                            seg.arrays.clone(),
-                            seg.dims,
-                            seg.elem,
-                            seg.region,
-                            dev.clone(),
-                        );
-                        evs.push(m.launch_kernel(
-                            ctx.sim(),
-                            stream,
-                            "unpack",
-                            seg.bytes,
-                            Some(unpack),
-                        ));
+                        let unpack =
+                            make_unpack_work(&m, &seg.arrays, seg.dims, seg.elem, seg.region, dev);
+                        evs.push(m.launch_kernel(ctx.sim(), stream, "unpack", seg.bytes, unpack));
                     }
                     *unpack_all = Some(ctx.sim().with_kernel(|k| k.completion_all(&evs)));
                 }
@@ -1450,20 +1391,10 @@ impl DistributedDomain {
                     timing.phase("wait", since_start(ctx));
                     m.stream_wait_event(ctx.sim(), rp.stream, &copied);
                     let dev = rp.recv_dev_buf.as_ref().unwrap();
-                    let unpack = make_unpack_work(
-                        rp.arrays.clone(),
-                        rp.dims,
-                        rp.elem,
-                        rp.dst_region,
-                        dev.clone(),
-                    );
-                    *unpack_ev = Some(m.launch_kernel(
-                        ctx.sim(),
-                        rp.stream,
-                        "unpack",
-                        rp.bytes,
-                        Some(unpack),
-                    ));
+                    let unpack =
+                        make_unpack_work(&m, &rp.arrays, rp.dims, rp.elem, rp.dst_region, dev);
+                    *unpack_ev =
+                        Some(m.launch_kernel(ctx.sim(), rp.stream, "unpack", rp.bytes, unpack));
                 }
                 let ev = unpack_ev.as_ref().unwrap();
                 if ev.is_done() {

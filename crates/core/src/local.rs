@@ -156,7 +156,7 @@ impl LocalDomain {
     pub fn launch_compute(
         &self,
         ctx: &detsim::SimCtx,
-        label: impl Into<String>,
+        label: &'static str,
         bytes: u64,
         work: Option<gpusim::Work>,
     ) -> detsim::Completion {

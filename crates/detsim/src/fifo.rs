@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, SmallFn};
 use crate::time::SimTime;
 
 /// Identifies a FIFO resource.
@@ -27,7 +27,8 @@ pub struct FifoToken {
     fifo: FifoId,
 }
 
-type Task = Box<dyn FnOnce(&mut Kernel, FifoToken)>;
+/// A queued task: closures of up to two words wait inline.
+type Task = SmallFn<FifoToken>;
 
 struct Fifo {
     name: String,
@@ -80,7 +81,7 @@ impl Kernel {
             }
             task(self, FifoToken { fifo });
         } else {
-            f.queue.push_back((now, Box::new(task)));
+            f.queue.push_back((now, SmallFn::new(task)));
             if self.metrics.is_enabled() {
                 let name: &str = &self.fifos.fifos[fifo.0].name;
                 self.metrics
@@ -123,7 +124,7 @@ impl Kernel {
                     self.metrics
                         .gauge_add("fifo", "queue_depth", &[("fifo", name)], -1.0);
                 }
-                next(self, FifoToken { fifo: token.fifo });
+                next.call(self, FifoToken { fifo: token.fifo });
             }
         }
     }

@@ -32,30 +32,113 @@
 //! * Paths of up to [`PATH_INLINE`] hops are stored inline in the flow
 //!   (internode host routes are at most 7 links), so starting a flow does
 //!   not clone the path and resharing never touches the heap.
-//! * The affected-flow set is a sorted-and-deduped scratch `Vec` reused
-//!   across reshares, replacing a `BTreeSet` rebuilt per membership change.
+//! * A started flow waits out its path latency parked in a slab slot
+//!   (path, bytes, callback); the latency event captures only the slot
+//!   index, so it stays inline in the event queue. The flow takes its
+//!   [`FlowId`] when that event activates it.
+//! * The affected-flow set is a scratch `Vec` reused across reshares,
+//!   replacing a `BTreeSet` rebuilt per membership change. It is ordered
+//!   and deduplicated through a bitset over flow ids (they are small slab
+//!   keys), so only the distinct 64-id words touched need sorting.
 //! * Completions are `(time, seq, flow)` entries of an indexed binary heap,
 //!   not boxed closures. A re-projection takes a fresh `seq` from the
 //!   kernel's event counter — the key a newly pushed event would get — and
 //!   sifts the flow's one entry to it. [`Kernel::step`] pops whichever of
 //!   this queue and the event heap holds the smaller key.
 
-use crate::kernel::{Action, Kernel};
+use std::fmt;
+use std::ops::Deref;
+
+use crate::kernel::{Kernel, SmallAction};
 use crate::metrics::Metrics;
+use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a link in the network.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct LinkId(pub(crate) usize);
+pub struct LinkId(u32);
+
+impl LinkId {
+    fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Identifies an active flow.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FlowId(usize);
 
-/// Paths up to this many hops live inline in the flow; longer ones spill
-/// to the heap. The deepest route the topology builds (internode host
-/// path: intranode hops + inject + eject + intranode hops) is 7 links.
-const PATH_INLINE: usize = 8;
+/// Links a [`Path`] holds inline. The deepest route the preset
+/// topologies build (internode host path: intranode hops + inject + eject +
+/// intranode hops) is 7 links; longer routes (custom node specs) spill to
+/// the heap.
+pub const PATH_INLINE: usize = 8;
+
+/// A route of links. Up to [`PATH_INLINE`] links are stored inline, so
+/// building, returning or copying a preset route allocates nothing.
+/// Dereferences to `[LinkId]`, which is what [`Kernel::start_flow`] takes.
+#[derive(Clone)]
+pub struct Path(PathRepr);
+
+#[derive(Clone)]
+enum PathRepr {
+    Inline(u8, [LinkId; PATH_INLINE]),
+    /// A route that outgrew the inline array.
+    Spilled(Vec<LinkId>),
+}
+
+impl Path {
+    /// The empty path.
+    pub const fn new() -> Path {
+        Path(PathRepr::Inline(0, [LinkId(0); PATH_INLINE]))
+    }
+
+    /// Append `link`.
+    pub fn push(&mut self, link: LinkId) {
+        match &mut self.0 {
+            PathRepr::Inline(len, links) if (*len as usize) < PATH_INLINE => {
+                links[*len as usize] = link;
+                *len += 1;
+            }
+            PathRepr::Inline(_, links) => {
+                let mut spilled = links.to_vec();
+                spilled.push(link);
+                self.0 = PathRepr::Spilled(spilled);
+            }
+            PathRepr::Spilled(links) => links.push(link),
+        }
+    }
+
+    /// Append every link of `links`, in order.
+    pub fn extend_from_slice(&mut self, links: &[LinkId]) {
+        for &l in links {
+            self.push(l);
+        }
+    }
+}
+
+impl Default for Path {
+    fn default() -> Self {
+        Path::new()
+    }
+}
+
+impl Deref for Path {
+    type Target = [LinkId];
+
+    fn deref(&self) -> &[LinkId] {
+        match &self.0 {
+            PathRepr::Inline(len, links) => &links[..*len as usize],
+            PathRepr::Spilled(links) => links,
+        }
+    }
+}
+
+impl fmt::Debug for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A flow's route plus, per hop, the flow's index into that link's entry
 /// list (maintained by join/leave so leaving is O(1)).
@@ -124,7 +207,14 @@ struct Flow {
     total: u64,
     rate: f64,
     last_update: SimTime,
-    on_done: Option<Action>,
+    on_done: SmallAction,
+}
+
+/// A started flow waiting out its path latency.
+struct PendingFlow {
+    path: FlowPath,
+    bytes: u64,
+    on_done: SmallAction,
 }
 
 /// Position marker for a flow slot with no queued completion.
@@ -239,39 +329,66 @@ impl FlowQueue {
 /// Container for links and flows; lives inside [`Kernel`].
 pub(crate) struct FlowNet {
     links: Vec<Link>,
-    flows: Vec<Option<Flow>>,
-    free: Vec<usize>,
-    active: usize,
+    /// Active flows, keyed by [`FlowId`].
+    flows: Slab<Flow>,
+    /// Started flows still paying their path latency.
+    pending: Slab<PendingFlow>,
     /// Projected completion of every active flow.
     pub(crate) due: FlowQueue,
     /// Reusable affected-flow buffer for joins/leaves (never held across
     /// user callbacks).
     scratch: Vec<FlowId>,
+    /// Bitset over flow ids and the words of it in use, for ordering the
+    /// affected set (see [`sort_dedup`]); all zero between reshares.
+    marks: Vec<u64>,
+    marked_words: Vec<u32>,
 }
 
 impl FlowNet {
     pub(crate) fn new() -> Self {
         FlowNet {
             links: Vec::new(),
-            flows: Vec::new(),
-            free: Vec::new(),
-            active: 0,
+            flows: Slab::new(),
+            pending: Slab::new(),
             due: FlowQueue::new(),
             scratch: Vec::new(),
+            marks: Vec::new(),
+            marked_words: Vec::new(),
         }
     }
 
-    fn alloc(&mut self, flow: Flow) -> FlowId {
-        self.active += 1;
-        if let Some(i) = self.free.pop() {
-            debug_assert!(self.flows[i].is_none());
-            self.flows[i] = Some(flow);
-            FlowId(i)
-        } else {
-            self.flows.push(Some(flow));
-            FlowId(self.flows.len() - 1)
+    /// Slots the pending-flow slab has ever handed out (diagnostics).
+    #[cfg(test)]
+    pub(crate) fn pending_slots(&self) -> usize {
+        self.pending.slots()
+    }
+}
+
+/// Sort `fids` ascending and drop duplicates — what `sort_unstable` then
+/// `dedup` would leave — in time linear in its length: set each id's bit
+/// in `marks`, sort only the distinct words touched, and read the bits back
+/// in order. Leaves `marks` all zero and `words` empty.
+fn sort_dedup(fids: &mut Vec<FlowId>, marks: &mut Vec<u64>, words: &mut Vec<u32>) {
+    for f in fids.iter() {
+        let w = f.0 / 64;
+        if w >= marks.len() {
+            marks.resize(w + 1, 0);
+        }
+        if marks[w] == 0 {
+            words.push(w as u32);
+        }
+        marks[w] |= 1 << (f.0 % 64);
+    }
+    words.sort_unstable();
+    fids.clear();
+    for &w in words.iter() {
+        let mut bits = std::mem::take(&mut marks[w as usize]);
+        while bits != 0 {
+            fids.push(FlowId(w as usize * 64 + bits.trailing_zeros() as usize));
+            bits &= bits - 1;
         }
     }
+    words.clear();
 }
 
 /// Settle a link's busy-byte integral at `now`, then apply `delta` to its
@@ -318,12 +435,12 @@ impl Kernel {
             busy_bytes: 0.0,
             last_change: SimTime::ZERO,
         });
-        LinkId(self.flows.links.len() - 1)
+        LinkId(u32::try_from(self.flows.links.len() - 1).expect("more than u32::MAX links"))
     }
 
     /// Capacity of a link in bytes/second.
     pub fn link_capacity(&self, link: LinkId) -> f64 {
-        self.flows.links[link.0].capacity
+        self.flows.links[link.idx()].capacity
     }
 
     /// Change a link's capacity (bytes/second) mid-run — the degradation /
@@ -345,13 +462,13 @@ impl Kernel {
             capacity_bps > 0.0 && capacity_bps.is_finite(),
             "link capacity must be positive and finite"
         );
-        if self.flows.links[link.0].capacity == capacity_bps {
+        if self.flows.links[link.idx()].capacity == capacity_bps {
             return;
         }
         let now = self.now();
         let mut affected = std::mem::take(&mut self.flows.scratch);
         {
-            let l = &mut self.flows.links[link.0];
+            let l = &mut self.flows.links[link.idx()];
             // Flush the utilization integral while `capacity` still holds
             // the value the elapsed interval ran under.
             settle_link(l, &mut self.metrics, now, 0.0);
@@ -373,53 +490,53 @@ impl Kernel {
     /// only to flows started after this call; in-flight flows keep the
     /// latency they already paid.
     pub fn set_link_latency(&mut self, link: LinkId, latency: SimDuration) {
-        self.flows.links[link.0].latency = latency;
+        self.flows.links[link.idx()].latency = latency;
     }
 
     /// One-way latency of a link.
     pub fn link_latency(&self, link: LinkId) -> SimDuration {
-        self.flows.links[link.0].latency
+        self.flows.links[link.idx()].latency
     }
 
     /// Human-readable link name.
     pub fn link_name(&self, link: LinkId) -> &str {
-        &self.flows.links[link.0].name
+        &self.flows.links[link.idx()].name
     }
 
     /// Total bytes delivered over a link so far.
     pub fn link_delivered(&self, link: LinkId) -> u64 {
-        self.flows.links[link.0].delivered
+        self.flows.links[link.idx()].delivered
     }
 
     /// Peak instantaneous utilization (sum of flow rates / capacity) seen on
     /// a link. Values above 1.0 indicate an over-allocation bug.
     pub fn link_peak_utilization(&self, link: LinkId) -> f64 {
-        self.flows.links[link.0].peak_util
+        self.flows.links[link.idx()].peak_util
     }
 
     /// Bytes "scheduled" through the link according to the time-integral of
     /// its load. Should track [`Kernel::link_delivered`] closely; a large
     /// mismatch indicates settlement bugs.
     pub fn link_busy_bytes(&self, link: LinkId) -> f64 {
-        self.flows.links[link.0].busy_bytes
+        self.flows.links[link.idx()].busy_bytes
     }
 
     /// Number of flows currently in the network (activated, not yet done).
     pub fn active_flows(&self) -> usize {
-        self.flows.active
+        self.flows.flows.len()
     }
 
     /// Sum of one-way latencies along `path`.
     pub fn path_latency(&self, path: &[LinkId]) -> SimDuration {
         path.iter().fold(SimDuration::ZERO, |acc, l| {
-            acc + self.flows.links[l.0].latency
+            acc + self.flows.links[l.idx()].latency
         })
     }
 
     /// Minimum capacity along `path` (the zero-contention bandwidth).
     pub fn path_capacity(&self, path: &[LinkId]) -> f64 {
         path.iter()
-            .map(|l| self.flows.links[l.0].capacity)
+            .map(|l| self.flows.links[l.idx()].capacity)
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -447,34 +564,43 @@ impl Kernel {
             "flow paths must not repeat a link"
         );
         let latency = self.path_latency(path);
-        let path = FlowPath::from_links(path);
-        let on_done: Action = Box::new(on_done);
+        let slot = self.flows.pending.insert(PendingFlow {
+            path: FlowPath::from_links(path),
+            bytes,
+            on_done: SmallAction::action(on_done),
+        });
         // After the latency elapses, the flow joins the links and begins
         // consuming bandwidth.
-        self.schedule_in(latency, move |k| k.activate_flow(path, bytes, on_done));
+        self.schedule_in(latency, move |k| k.activate_flow(slot));
     }
 
-    /// Join a flow onto its path links and give the affected set its first
-    /// reshare. Runs after the path latency has elapsed.
-    fn activate_flow(&mut self, path: FlowPath, bytes: u64, on_done: Action) {
+    /// Join the flow parked in pending slot `slot` onto its path links and
+    /// give the affected set its first reshare. Runs after the path latency
+    /// has elapsed.
+    fn activate_flow(&mut self, slot: usize) {
+        let PendingFlow {
+            path,
+            bytes,
+            on_done,
+        } = self.flows.pending.remove(slot);
         let now = self.now();
-        let id = self.flows.alloc(Flow {
+        let id = FlowId(self.flows.flows.insert(Flow {
             path,
             remaining: bytes as f64,
             total: bytes,
             rate: 0.0,
             last_update: now,
-            on_done: Some(on_done),
-        });
+            on_done,
+        }));
         let mut affected = std::mem::take(&mut self.flows.scratch);
         {
             let net = &mut self.flows;
             // Split borrow: the flow lives in `net.flows`, membership in
             // `net.links`.
             let (links, flows) = (&mut net.links, &mut net.flows);
-            let flow = flows[id.0].as_mut().expect("flow just allocated");
+            let flow = flows.get_mut(id.0).expect("flow just allocated");
             for (hop, entry) in flow.path.hops_mut().iter_mut().enumerate() {
-                let link = &mut links[entry.0 .0];
+                let link = &mut links[entry.0.idx()];
                 affected.extend(link.entries.iter().map(|e| e.0));
                 entry.1 = link.entries.len() as u32;
                 link.entries.push((id, hop as u32));
@@ -483,11 +609,9 @@ impl Kernel {
         }
         affected.push(id);
         if self.metrics.is_enabled() {
-            let flow = self.flows.flows[id.0]
-                .as_ref()
-                .expect("flow just allocated");
+            let flow = self.flows.flows.get(id.0).expect("flow just allocated");
             for &(l, _) in flow.path.hops() {
-                let name: &str = &self.flows.links[l.0].name;
+                let name: &str = &self.flows.links[l.idx()].name;
                 self.metrics
                     .gauge_add("flow", "link_active_flows", &[("link", name)], 1.0);
             }
@@ -507,25 +631,24 @@ impl Kernel {
     /// settlement accumulates floating-point state order-sensitively and
     /// virtual times must stay bit-identical.
     fn reshare(&mut self, affected: &mut Vec<FlowId>) {
-        affected.sort_unstable();
-        affected.dedup();
         let now = self.now();
         let net = &mut self.flows;
+        sort_dedup(affected, &mut net.marks, &mut net.marked_words);
         let (links, flows, due) = (&mut net.links, &mut net.flows, &mut net.due);
         let metrics = &mut self.metrics;
         let next_seq = &mut self.next_seq;
         for &fid in affected.iter() {
-            let Some(flow) = flows[fid.0].as_mut() else {
+            let Some(flow) = flows.get_mut(fid.0) else {
                 continue; // completed in the meantime
             };
             // New bottleneck-fair rate: min of the cached link shares.
             let mut rate = f64::INFINITY;
             for &(l, _) in flow.path.hops() {
-                rate = rate.min(links[l.0].share);
+                rate = rate.min(links[l.idx()].share);
             }
             let old_rate = flow.rate;
             for &(l, _) in flow.path.hops() {
-                settle_link(&mut links[l.0], metrics, now, rate - old_rate);
+                settle_link(&mut links[l.idx()], metrics, now, rate - old_rate);
             }
             // Settle progress at the old rate.
             let dt = now.since(flow.last_update).as_secs_f64();
@@ -538,9 +661,9 @@ impl Kernel {
         }
         // Record utilization peaks only after the whole batch settles.
         for &fid in affected.iter() {
-            if let Some(flow) = flows[fid.0].as_ref() {
+            if let Some(flow) = flows.get(fid.0) {
                 for &(l, _) in flow.path.hops() {
-                    let link = &mut links[l.0];
+                    let link = &mut links[l.idx()];
                     let u = link.load / link.capacity;
                     if u > link.peak_util {
                         link.peak_util = u;
@@ -554,9 +677,7 @@ impl Kernel {
     /// survivors, and run its callback. Called by the event loop when the
     /// flow's completion reaches the head of the queue.
     pub(crate) fn finish_flow(&mut self, fid: FlowId) {
-        let mut flow = self.flows.flows[fid.0].take().expect("flow vanished");
-        self.flows.free.push(fid.0);
-        self.flows.active -= 1;
+        let flow = self.flows.flows.remove(fid.0);
         let now = self.now();
         let mut affected = std::mem::take(&mut self.flows.scratch);
         {
@@ -564,13 +685,13 @@ impl Kernel {
             let (links, flows) = (&mut net.links, &mut net.flows);
             let metrics = &mut self.metrics;
             for (hop, &(l, pos)) in flow.path.hops().iter().enumerate() {
-                let link = &mut links[l.0];
+                let link = &mut links[l.idx()];
                 let removed = link.entries.swap_remove(pos as usize);
                 debug_assert_eq!(removed, (fid, hop as u32), "link entry out of sync");
                 // The swapped-in entry moved; tell its owner.
                 if let Some(&(moved, moved_hop)) = link.entries.get(pos as usize) {
-                    flows[moved.0]
-                        .as_mut()
+                    flows
+                        .get_mut(moved.0)
                         .expect("dangling link entry")
                         .path
                         .set_pos(moved_hop as usize, pos);
@@ -583,7 +704,7 @@ impl Kernel {
                 link.delivered += flow.total;
                 settle_link(link, metrics, now, -flow.rate);
                 if metrics.is_enabled() {
-                    let name: &str = &links[l.0].name;
+                    let name: &str = &links[l.idx()].name;
                     metrics.counter_add(
                         "flow",
                         "link_delivered_bytes",
@@ -592,7 +713,7 @@ impl Kernel {
                     );
                     metrics.gauge_add("flow", "link_active_flows", &[("link", name)], -1.0);
                 }
-                affected.extend(links[l.0].entries.iter().map(|e| e.0));
+                affected.extend(links[l.idx()].entries.iter().map(|e| e.0));
             }
             if metrics.is_enabled() {
                 metrics.gauge_add("flow", "active_flows", &[], -1.0);
@@ -601,9 +722,7 @@ impl Kernel {
         self.reshare(&mut affected);
         affected.clear();
         self.flows.scratch = affected;
-        if let Some(cb) = flow.on_done.take() {
-            cb(self);
-        }
+        flow.on_done.call(self, ());
     }
 }
 
@@ -655,6 +774,28 @@ mod tests {
         }
         let want: Vec<_> = want.into_iter().map(|(at, _, f)| (at, f)).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn sort_dedup_matches_sort_then_dedup() {
+        let (mut marks, mut words) = (Vec::new(), Vec::new());
+        let mut x = 7u64;
+        for len in [0usize, 1, 2, 5, 64, 300] {
+            let mut fids: Vec<FlowId> = (0..len)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    FlowId((x >> 33) as usize % (len * 3 + 1))
+                })
+                .collect();
+            let mut want = fids.clone();
+            want.sort_unstable();
+            want.dedup();
+            sort_dedup(&mut fids, &mut marks, &mut words);
+            assert_eq!(fids, want);
+            assert!(marks.iter().all(|&m| m == 0) && words.is_empty());
+        }
     }
 
     #[test]
@@ -924,6 +1065,23 @@ mod tests {
         let t2 = done2.get() as f64 / PS_PER_SEC as f64;
         assert!((t1 - 1.25).abs() < 1e-9, "t1={t1}");
         assert!((t2 - 4.0).abs() < 1e-9, "t2={t2}");
+    }
+
+    #[test]
+    fn long_paths_spill_and_keep_their_order() {
+        let mut k = Kernel::new();
+        let links: Vec<LinkId> = (0..11)
+            .map(|i| k.add_link(format!("l{i}"), 100.0, SimDuration::ZERO))
+            .collect();
+        let mut p = Path::new();
+        p.extend_from_slice(&links[..PATH_INLINE]);
+        assert_eq!(&p[..], &links[..PATH_INLINE]);
+        p.extend_from_slice(&links[PATH_INLINE..]);
+        assert_eq!(&p[..], &links[..]);
+        let (done, cb) = make_done(&mut k);
+        k.start_flow(&p, 100, cb);
+        let t = finish_time(&mut k, &done);
+        assert!((t - 1.0).abs() < 1e-9, "expected 1s, got {t}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! entry per active flow, see [`crate::flow`]) and are merged with the event
 //! heap by the same key.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
@@ -27,102 +27,131 @@ use crate::sched::SchedState;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 
-/// A callback run by the event loop. Runs at most once.
-pub type Action = Box<dyn FnOnce(&mut Kernel)>;
+/// Words of closure capture an inline [`SmallFn`] holds without boxing.
+const INLINE_WORDS: usize = 2;
 
-/// A type-erased `FnOnce(&mut Kernel)` that stores one-word closures inline
-/// instead of boxing them.
+/// Inline closure storage: two pointer-aligned words.
+type InlineData = MaybeUninit<[*mut (); INLINE_WORDS]>;
+
+/// A type-erased `FnOnce(&mut Kernel, A)` that stores closures of up to
+/// two words inline instead of boxing them.
 ///
-/// Event churn at paper scale is dominated by tiny closures — typically a
-/// single completion handle or id — so keeping the capture inside the event
-/// itself removes a heap round-trip per scheduled event. Closures that
-/// don't fit in one word fall back to a (thin) box, transparently. The
-/// whole thing is two words — payload plus a `&'static` vtable — which
-/// keeps `Event` at the same size the old fat-boxed `Action` gave it:
+/// Event churn at paper scale is dominated by tiny closures — a completion
+/// handle, a `(machine, slot)` or `(rank, token)` pair — so keeping the
+/// capture inside the event itself removes a heap round-trip per scheduled
+/// event, queued FIFO task and completion callback. Closures larger than
+/// two words, or aligned above a pointer, fall back to a (thin) box,
+/// transparently. The whole thing is three words — payload plus a
+/// `&'static` vtable — which keeps [`Event`] at 40 bytes (asserted below):
 /// growing events would slow every `BinaryHeap` sift.
-pub(crate) struct SmallAction {
-    data: MaybeUninit<*mut ()>,
-    vtable: &'static ActionVTable,
+pub(crate) struct SmallFn<A: 'static> {
+    data: InlineData,
+    vtable: &'static FnVTable<A>,
 }
 
-struct ActionVTable {
-    call: unsafe fn(*mut *mut (), &mut Kernel),
-    drop: unsafe fn(*mut *mut ()),
+/// A callback run by the event loop or by a completion. Runs at most once.
+pub(crate) type SmallAction = SmallFn<()>;
+
+struct FnVTable<A> {
+    call: unsafe fn(*mut InlineData, &mut Kernel, A),
+    drop: unsafe fn(*mut InlineData),
+    /// Whether the closure lives in the payload itself (read by tests).
+    #[cfg_attr(not(test), allow(dead_code))]
+    inline: bool,
 }
 
-impl SmallAction {
-    pub(crate) fn new<F: FnOnce(&mut Kernel) + 'static>(f: F) -> Self {
-        let mut data = MaybeUninit::<*mut ()>::uninit();
-        if size_of::<F>() <= size_of::<*mut ()>() && align_of::<F>() <= align_of::<*mut ()>() {
+impl<A: 'static> SmallFn<A> {
+    pub(crate) fn new<F: FnOnce(&mut Kernel, A) + 'static>(f: F) -> Self {
+        let mut data = InlineData::uninit();
+        if size_of::<F>() <= size_of::<InlineData>() && align_of::<F>() <= align_of::<InlineData>()
+        {
+            // SAFETY: `F` fits the payload in size and alignment.
             unsafe { data.as_mut_ptr().cast::<F>().write(f) };
-            SmallAction {
+            SmallFn {
                 data,
-                vtable: &ActionVTable {
-                    call: call_inline::<F>,
+                vtable: &FnVTable {
+                    call: call_inline::<F, A>,
                     drop: drop_inline::<F>,
+                    inline: true,
                 },
             }
         } else {
             let p = Box::into_raw(Box::new(f));
+            // SAFETY: a thin pointer fits the payload.
             unsafe { data.as_mut_ptr().cast::<*mut F>().write(p) };
-            SmallAction {
+            SmallFn {
                 data,
-                vtable: &ActionVTable {
-                    call: call_boxed::<F>,
+                vtable: &FnVTable {
+                    call: call_boxed::<F, A>,
                     drop: drop_boxed::<F>,
+                    inline: false,
                 },
             }
         }
     }
 
     /// Invoke the closure, consuming it.
-    pub(crate) fn call(self, k: &mut Kernel) {
+    pub(crate) fn call(self, k: &mut Kernel, arg: A) {
         let mut this = ManuallyDrop::new(self);
-        unsafe { (this.vtable.call)(this.data.as_mut_ptr(), k) }
+        // SAFETY: the payload holds the closure `vtable` was built for, and
+        // `ManuallyDrop` keeps it from being dropped after the call moved it
+        // out.
+        unsafe { (this.vtable.call)(&mut this.data, k, arg) }
+    }
+
+    /// Whether the closure is stored inline (no heap allocation).
+    #[cfg(test)]
+    fn is_inline(&self) -> bool {
+        self.vtable.inline
     }
 }
 
-impl Drop for SmallAction {
+impl SmallAction {
+    /// Wrap a plain `FnOnce(&mut Kernel)`.
+    pub(crate) fn action(f: impl FnOnce(&mut Kernel) + 'static) -> Self {
+        SmallFn::new(move |k, ()| f(k))
+    }
+}
+
+impl<A: 'static> Drop for SmallFn<A> {
     fn drop(&mut self) {
-        unsafe { (self.vtable.drop)(self.data.as_mut_ptr()) }
+        // SAFETY: the closure was never called (`call` forgets `self`).
+        unsafe { (self.vtable.drop)(&mut self.data) }
     }
 }
 
-unsafe fn call_inline<F: FnOnce(&mut Kernel)>(data: *mut *mut (), k: &mut Kernel) {
+unsafe fn call_inline<F: FnOnce(&mut Kernel, A), A>(data: *mut InlineData, k: &mut Kernel, a: A) {
+    // SAFETY: `data` holds an `F`, read out exactly once.
     let f = unsafe { data.cast::<F>().read() };
-    f(k)
+    f(k, a)
 }
 
-unsafe fn drop_inline<F>(data: *mut *mut ()) {
+unsafe fn drop_inline<F>(data: *mut InlineData) {
+    // SAFETY: `data` holds an `F` that was never moved out.
     unsafe { std::ptr::drop_in_place(data.cast::<F>()) }
 }
 
-unsafe fn call_boxed<F: FnOnce(&mut Kernel)>(data: *mut *mut (), k: &mut Kernel) {
+unsafe fn call_boxed<F: FnOnce(&mut Kernel, A), A>(data: *mut InlineData, k: &mut Kernel, a: A) {
+    // SAFETY: `data` holds the pointer `Box::into_raw` gave for an `F`.
     let f = unsafe { Box::from_raw(data.cast::<*mut F>().read()) };
-    f(k)
+    f(k, a)
 }
 
-unsafe fn drop_boxed<F>(data: *mut *mut ()) {
+unsafe fn drop_boxed<F>(data: *mut InlineData) {
+    // SAFETY: as in `call_boxed`; the box is freed exactly once.
     drop(unsafe { Box::from_raw(data.cast::<*mut F>().read()) });
 }
 
-/// What happens when an event fires. Timer wakes (the `SimCtx::delay` fast
-/// path) are a bare variant: waking a rank needs no completion object at
-/// all. Flow completions are not events; they live in the flow network's
-/// own queue.
-pub(crate) enum EventKind {
-    /// Run a callback (inline if small, boxed otherwise).
-    Call(SmallAction),
-    /// Wake rank `tid` from a `SimCtx::delay`, provided `token` is still
-    /// the wake it is armed for (see `SchedState::fire_wake`).
-    Wake { tid: usize, token: u64 },
-}
-
+/// A scheduled callback. Timer wakes (the `SimCtx::delay` fast path) are
+/// ordinary two-word actions too; flow completions are not events at all
+/// but live in the flow network's own queue.
 pub(crate) struct Event {
     at: SimTime,
     seq: u64,
-    kind: EventKind,
+    action: SmallAction,
 }
+
+const _: () = assert!(size_of::<Event>() == 40, "Event grew past 40 bytes");
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -147,8 +176,14 @@ enum CompletionState {
     Pending {
         /// Rank ids to make runnable when this completes.
         waiters: Vec<usize>,
-        /// Callbacks to run (in registration order) when this completes.
-        callbacks: Vec<SmallAction>,
+        /// The first callback, kept inline: most completions get exactly
+        /// one.
+        first: Option<SmallAction>,
+        /// Later callbacks; they run after `first`, in registration order.
+        rest: Vec<SmallAction>,
+        /// Parts still outstanding for a [`Kernel::completion_all`]; the
+        /// last part to finish completes this one.
+        parts_left: usize,
     },
     Done,
 }
@@ -166,7 +201,9 @@ impl Completion {
     pub(crate) fn new() -> Self {
         Completion(Rc::new(RefCell::new(CompletionState::Pending {
             waiters: Vec::new(),
-            callbacks: Vec::new(),
+            first: None,
+            rest: Vec::new(),
+            parts_left: 0,
         })))
     }
 
@@ -255,10 +292,10 @@ impl Kernel {
     }
 
     /// Push an event, assigning the next sequence number.
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
+    fn push_event(&mut self, at: SimTime, action: SmallAction) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Event { at, seq, kind });
+        self.queue.push(Event { at, seq, action });
     }
 
     /// Schedule `action` to run at absolute time `at`. Scheduling into the
@@ -266,16 +303,20 @@ impl Kernel {
     /// callback returns).
     pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Kernel) + 'static) {
         let at = at.max(self.now);
-        self.push_event(at, EventKind::Call(SmallAction::new(action)));
+        self.push_event(at, SmallAction::action(action));
     }
 
     /// Arm and schedule a bare timer wake for rank `tid`, `d` from now: the
     /// `SimCtx::delay` fast path. One event, same `(time, seq)` key a
     /// completion-based delay would have consumed — virtual times are
-    /// unchanged — but no completion allocation and no callback.
+    /// unchanged — but no completion: the `(tid, token)` capture is two
+    /// words and sits inline in the event.
     pub(crate) fn schedule_wake(&mut self, tid: usize, d: SimDuration) {
         let token = self.sched.arm_wake(tid);
-        self.push_event(self.now + d, EventKind::Wake { tid, token });
+        self.push_event(
+            self.now + d,
+            SmallAction::action(move |k| k.sched.fire_wake(tid, token)),
+        );
     }
 
     /// Make rank `tid` runnable if it is blocked — the wake half of
@@ -308,35 +349,53 @@ impl Kernel {
     /// An empty slice yields an already-done completion.
     pub fn completion_all(&mut self, parts: &[Completion]) -> Completion {
         let all = Completion::new();
-        let pending: Vec<&Completion> = parts.iter().filter(|c| !c.is_done()).collect();
-        if pending.is_empty() {
+        let pending = parts.iter().filter(|c| !c.is_done());
+        let left = pending.clone().count();
+        if left == 0 {
             self.complete(&all);
             return all;
         }
-        let count = Rc::new(Cell::new(pending.len()));
+        if let CompletionState::Pending { parts_left, .. } = &mut *all.0.borrow_mut() {
+            *parts_left = left;
+        }
         for part in pending {
             let all = all.clone();
-            let count = Rc::clone(&count);
-            self.on_complete(part, move |k| {
-                count.set(count.get() - 1);
-                if count.get() == 0 {
-                    k.complete(&all);
-                }
-            });
+            self.on_complete(part, move |k| k.part_done(&all));
         }
         all
+    }
+
+    /// One part of a [`Kernel::completion_all`] finished: complete `all`
+    /// once it was the last.
+    fn part_done(&mut self, all: &Completion) {
+        let last = match &mut *all.0.borrow_mut() {
+            CompletionState::Pending { parts_left, .. } => {
+                *parts_left -= 1;
+                *parts_left == 0
+            }
+            CompletionState::Done => false,
+        };
+        if last {
+            self.complete(all);
+        }
     }
 
     /// Fire a completion: wake all waiting threads and run all chained
     /// callbacks (in registration order). Completing twice is a no-op.
     pub fn complete(&mut self, c: &Completion) {
         let prev = c.0.replace(CompletionState::Done);
-        if let CompletionState::Pending { waiters, callbacks } = prev {
+        if let CompletionState::Pending {
+            waiters,
+            first,
+            rest,
+            ..
+        } = prev
+        {
             for tid in waiters {
                 self.sched.make_runnable(tid);
             }
-            for cb in callbacks {
-                cb.call(self);
+            for cb in first.into_iter().chain(rest) {
+                cb.call(self, ());
             }
         }
     }
@@ -345,8 +404,13 @@ impl Kernel {
     pub fn on_complete(&mut self, c: &Completion, action: impl FnOnce(&mut Kernel) + 'static) {
         let mut st = c.0.borrow_mut();
         match &mut *st {
-            CompletionState::Pending { callbacks, .. } => {
-                callbacks.push(SmallAction::new(action));
+            CompletionState::Pending { first, rest, .. } => {
+                let action = SmallAction::action(action);
+                if first.is_none() {
+                    *first = Some(action);
+                } else {
+                    rest.push(action);
+                }
             }
             CompletionState::Done => {
                 drop(st);
@@ -399,10 +463,7 @@ impl Kernel {
         debug_assert!(ev.at >= self.now, "event queue went backwards");
         self.now = ev.at;
         self.executed_events += 1;
-        match ev.kind {
-            EventKind::Call(action) => action.call(self),
-            EventKind::Wake { tid, token } => self.sched.fire_wake(tid, token),
-        }
+        ev.action.call(self, ());
         true
     }
 
@@ -427,6 +488,175 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Counts the live heap bytes of the calling thread only, so tests
+    /// running in parallel do not disturb each other's counts.
+    struct ThreadCounting;
+
+    thread_local! {
+        static LIVE: Cell<isize> = const { Cell::new(0) };
+    }
+
+    fn track(delta: isize) {
+        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+    }
+
+    unsafe impl GlobalAlloc for ThreadCounting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            track(layout.size() as isize);
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            track(-(layout.size() as isize));
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            track(new_size as isize - layout.size() as isize);
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: ThreadCounting = ThreadCounting;
+
+    fn live_bytes() -> isize {
+        LIVE.with(|l| l.get())
+    }
+
+    /// Counts its own drops.
+    struct Dropper(Rc<Cell<u32>>);
+
+    impl Drop for Dropper {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn event_is_forty_bytes() {
+        assert_eq!(size_of::<Event>(), 40);
+        assert_eq!(size_of::<SmallAction>(), 24);
+    }
+
+    #[test]
+    fn two_word_capture_stays_inline_and_drops_once() {
+        let mut k = Kernel::new();
+        let drops = Rc::new(Cell::new(0));
+        let ran = Rc::new(Cell::new(0u64));
+        // Called: the capture drops when the call consumes it.
+        let (guard, r) = (Dropper(Rc::clone(&drops)), Rc::clone(&ran));
+        let a = SmallAction::action(move |_| {
+            let _g = &guard;
+            r.set(r.get() + 1);
+        });
+        assert!(a.is_inline());
+        a.call(&mut k, ());
+        assert_eq!((ran.get(), drops.get()), (1, 1));
+        // Dropped uncalled: the capture drops exactly once, too.
+        let (guard, r) = (Dropper(Rc::clone(&drops)), Rc::clone(&ran));
+        let b = SmallAction::action(move |_| {
+            let _g = &guard;
+            r.set(r.get() + 1);
+        });
+        assert!(b.is_inline());
+        drop(b);
+        assert_eq!((ran.get(), drops.get()), (1, 2));
+        // A FIFO-task shape (taking an argument) is inline the same way.
+        let guard = Dropper(Rc::clone(&drops));
+        let t = SmallFn::<u64>::new(move |_, x| {
+            let _g = &guard;
+            assert_eq!(x, 7);
+        });
+        assert!(t.is_inline());
+        t.call(&mut k, 7);
+        assert_eq!(drops.get(), 3);
+    }
+
+    #[test]
+    fn large_or_overaligned_captures_fall_back_to_a_box() {
+        #[repr(align(16))]
+        struct Aligned(u64);
+        let mut k = Kernel::new();
+        let drops = Rc::new(Cell::new(0));
+        let sum = Rc::new(Cell::new(0u64));
+        let (guard, s, extra) = (Dropper(Rc::clone(&drops)), Rc::clone(&sum), 5u64);
+        let three = SmallAction::action(move |_| {
+            let _g = &guard;
+            s.set(s.get() + extra);
+        });
+        assert!(!three.is_inline(), "three words must be boxed");
+        three.call(&mut k, ());
+        assert_eq!((sum.get(), drops.get()), (5, 1));
+        let aligned = Aligned(9);
+        let s = Rc::clone(&sum);
+        let boxed = SmallAction::action(move |_| {
+            // Borrow the whole struct so the closure captures it, not just
+            // its (8-byte-aligned) field.
+            let a = &aligned;
+            s.set(s.get() + a.0)
+        });
+        assert!(!boxed.is_inline(), "16-byte alignment must be boxed");
+        boxed.call(&mut k, ());
+        assert_eq!(sum.get(), 14);
+        let guard = Dropper(Rc::clone(&drops));
+        let uncalled = SmallAction::action(move |_| {
+            let _g = &guard;
+            let _ = [0u64; 3];
+        });
+        drop(uncalled);
+        assert_eq!(drops.get(), 2);
+    }
+
+    #[test]
+    fn pending_flow_slots_are_reused() {
+        let mut k = Kernel::new();
+        let l = k.add_link("l", 1e9, SimDuration::from_nanos(100));
+        for _ in 0..3 {
+            for _ in 0..4 {
+                k.start_flow(&[l], 1000, |_| {});
+            }
+            k.run_to_completion();
+        }
+        assert_eq!(k.flows.pending_slots(), 4);
+        assert_eq!(k.active_flows(), 0);
+    }
+
+    #[test]
+    fn sequential_flows_leave_live_bytes_at_baseline() {
+        let mut k = Kernel::new();
+        let l = k.add_link("l", 1e9, SimDuration::from_nanos(100));
+        let done = Rc::new(Cell::new(0u32));
+        let one_flow = |k: &mut Kernel| {
+            let d = Rc::clone(&done);
+            k.start_flow(&[l], 1000, move |_| d.set(d.get() + 1));
+            k.run_to_completion();
+        };
+        // The first flow sizes every queue and slab once.
+        one_flow(&mut k);
+        let baseline = live_bytes();
+        for _ in 0..1000 {
+            one_flow(&mut k);
+        }
+        assert_eq!(live_bytes() - baseline, 0, "1,000 flows changed live bytes");
+        assert_eq!(done.get(), 1001);
+        assert_eq!(k.flows.pending_slots(), 1);
+    }
+
+    #[test]
+    fn completion_all_counts_parts_without_helpers() {
+        let mut k = Kernel::new();
+        let parts: Vec<Completion> = (0..3).map(|_| k.completion()).collect();
+        k.complete(&parts[1]);
+        let all = k.completion_all(&parts);
+        k.complete(&parts[0]);
+        assert!(!all.is_done());
+        k.complete(&parts[2]);
+        assert!(all.is_done());
+    }
 
     #[test]
     fn events_execute_in_time_order() {

@@ -57,12 +57,14 @@ mod flow;
 mod kernel;
 pub mod metrics;
 mod sched;
+mod slab;
 mod time;
 pub mod trace;
 
 pub use fifo::{FifoId, FifoToken};
-pub use flow::{FlowId, LinkId};
-pub use kernel::{Action, Completion, Kernel};
+pub use flow::{FlowId, LinkId, Path, PATH_INLINE};
+pub use kernel::{Completion, Kernel};
 pub use metrics::{Metrics, MetricsReport, SCHEMA_VERSION};
 pub use sched::{Program, Sim, SimCtx};
+pub use slab::Slab;
 pub use time::{SimDuration, SimTime, PS_PER_SEC};

@@ -113,11 +113,9 @@ pub(crate) struct SchedState {
     alive: usize,
     poisoned: bool,
     /// Per-rank token of the timer wake the rank is blocked on (0 = none).
-    /// Lets [`crate::SimCtx::delay`] use a bare [`EventKind::Wake`] event —
-    /// no completion allocation — while still ignoring spurious wakeups
-    /// from stale completion waiters.
-    ///
-    /// [`EventKind::Wake`]: crate::kernel::EventKind
+    /// Lets [`crate::SimCtx::delay`] schedule a bare `(tid, token)` wake
+    /// event — no completion allocation — while still ignoring spurious
+    /// wakeups from stale completion waiters.
     wake_wanted: Vec<u64>,
     /// Monotonic timer-wake token source. Never reset, so a stale wake
     /// event surviving a poisoned run can never match a later token.

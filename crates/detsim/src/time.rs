@@ -80,12 +80,7 @@ impl SimDuration {
         if !(s > 0.0) {
             return SimDuration(0);
         }
-        let ps = s * PS_PER_SEC as f64;
-        if ps >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(ps.ceil() as u64)
-        }
+        SimDuration(ceil_to_u64(s * PS_PER_SEC as f64))
     }
 
     /// The time it takes to move `bytes` bytes at `bytes_per_sec`, rounded up
@@ -127,6 +122,25 @@ impl SimDuration {
     #[inline]
     pub fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
+    }
+}
+
+/// `x.ceil() as u64` for non-negative `x`, saturating at `u64::MAX`, without
+/// the out-of-line `ceil` call the baseline x86-64 target makes: truncate,
+/// then add one if truncation dropped a fraction. Bit-exact with `ceil`:
+/// below 2^52 the truncated value is exact, so it is below `x` exactly
+/// when `x` has a fraction; from 2^52 up every `f64` is an integer and
+/// truncation is the identity.
+#[inline]
+fn ceil_to_u64(x: f64) -> u64 {
+    if x >= u64::MAX as f64 {
+        return u64::MAX;
+    }
+    let t = x as u64;
+    if (t as f64) < x {
+        t + 1
+    } else {
+        t
     }
 }
 
@@ -226,6 +240,44 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-1.0).picos(), 0);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN).picos(), 0);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY).picos(), u64::MAX);
+    }
+
+    #[test]
+    fn ceil_to_u64_matches_f64_ceil() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut xs = vec![0.0, 0.5, 1.0, 1.5, 2.5, 1e-300, 3.0e6 + 0.5];
+        for i in [
+            1u64,
+            2,
+            3,
+            7,
+            1_000,
+            1 << 20,
+            123_456_789,
+            1 << 40,
+            (1 << 52) - 1,
+        ] {
+            let x = i as f64;
+            xs.extend([x, x + 0.5, below(x), below(x + 1.0)]);
+        }
+        // Between 2^52 and 2^53 the spacing is 1 (every value an integer);
+        // at 2^63 it is 2048.
+        let two52 = (1u64 << 52) as f64;
+        xs.extend([two52, below(two52), two52 + 1.0, two52 + 12345.0]);
+        xs.extend([
+            below((1u64 << 53) as f64),
+            (1u64 << 63) as f64,
+            below((1u64 << 63) as f64),
+        ]);
+        xs.push(below(u64::MAX as f64));
+        for x in xs {
+            assert_eq!(ceil_to_u64(x), x.ceil() as u64, "ceil({x:e})");
+        }
+        // At or above u64::MAX (2^64 as an f64) it saturates.
+        for x in [u64::MAX as f64, 1e30, f64::MAX, f64::INFINITY] {
+            assert_eq!(ceil_to_u64(x), u64::MAX, "ceil({x:e}) saturates");
+        }
+        assert_eq!(SimDuration::from_secs_f64(1e10).picos(), u64::MAX);
     }
 
     #[test]

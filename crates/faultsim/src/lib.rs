@@ -494,8 +494,8 @@ fn resolve_links(machine: &GpuMachine, target: FaultTarget) -> Vec<LinkId> {
             vec![fwd, rev]
         }
         FaultTarget::GpuPair { node, a, b } => {
-            let mut links = fabric.gpu_gpu_path(node, a, b);
-            links.extend(fabric.gpu_gpu_path(node, b, a));
+            let mut links = fabric.gpu_gpu_path(node, a, b).to_vec();
+            links.extend_from_slice(&fabric.gpu_gpu_path(node, b, a));
             links.sort_unstable();
             links.dedup();
             links

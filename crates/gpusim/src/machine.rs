@@ -5,12 +5,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use detsim::{FifoId, Kernel, LinkId, SimCtx};
+use detsim::{FifoId, Kernel, LinkId, SimCtx, Slab};
 use topo::{ClusterSpec, Fabric, NodeDiscovery};
 
 use crate::buffer::{Buffer, Placement};
 use crate::config::{DataMode, GpuCostModel};
 use crate::error::GpuError;
+use crate::ops::Op;
 
 /// Handle to a CUDA-like stream: an in-order queue of device operations.
 /// Copyable; valid for the machine that created it.
@@ -46,6 +47,8 @@ pub(crate) struct MachineInner {
     /// per-device lookups don't scan the whole registry.
     streams_by_device: RefCell<Vec<Vec<usize>>>,
     peer_enabled: RefCell<HashSet<(usize, usize)>>,
+    /// In-flight memcpys and kernels (see [`Op`]).
+    pub(crate) ops: RefCell<Slab<Op>>,
 }
 
 /// The simulated machine: a cluster of multi-GPU nodes with CUDA-like
@@ -104,6 +107,7 @@ impl GpuMachine {
                 streams: RefCell::new(streams),
                 streams_by_device: RefCell::new(streams_by_device),
                 peer_enabled: RefCell::new(HashSet::new()),
+                ops: RefCell::new(Slab::new()),
             }),
         }
     }

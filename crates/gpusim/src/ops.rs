@@ -13,7 +13,7 @@
 //! Operations on one stream execute in order; operations on different
 //! streams overlap freely, contending only for links and engines.
 
-use detsim::{Completion, Kernel, LinkId, SimCtx};
+use detsim::{Completion, FifoToken, Kernel, LinkId, Path, SimCtx, SimTime};
 
 use crate::buffer::{Buffer, Placement};
 use crate::machine::{GpuMachine, Stream};
@@ -29,13 +29,45 @@ pub struct IpcMemHandle {
     buf: Buffer,
 }
 
+/// An in-flight memcpy or kernel. It sits in its machine's op slab from
+/// issue to completion, so each closure that drives it captures only
+/// `(machine, slot)` — two words, which the event kernel stores inline.
+pub(crate) struct Op {
+    kind: OpKind,
+    label: &'static str,
+    track: detsim::trace::TrackId,
+    done: Completion,
+    /// The stream slot, once the op reaches the head of its stream.
+    token: Option<FifoToken>,
+    /// When the op reached the head of its stream.
+    start: SimTime,
+}
+
+enum OpKind {
+    Memcpy {
+        path: Path,
+        len: u64,
+        dst: Buffer,
+        dst_off: u64,
+        src: Buffer,
+        src_off: u64,
+    },
+    Kernel {
+        engine: LinkId,
+        bytes: u64,
+        work: Option<Work>,
+    },
+}
+
 impl GpuMachine {
-    fn classify(&self, src: &Buffer, dst: &Buffer) -> (&'static str, Vec<LinkId>) {
+    fn classify(&self, src: &Buffer, dst: &Buffer) -> (&'static str, Path) {
         let fabric = self.fabric();
         match (src.placement(), dst.placement()) {
             (Placement::Device(a), Placement::Device(b)) => {
                 if a == b {
-                    ("D2D", vec![self.engine_link(a)])
+                    let mut path = Path::new();
+                    path.push(self.engine_link(a));
+                    ("D2D", path)
                 } else {
                     assert_eq!(
                         self.node_of(a),
@@ -82,6 +114,79 @@ impl GpuMachine {
                 panic!("host-to-host copies are MPI's job, not the GPU runtime's")
             }
         }
+    }
+
+    /// Park `op` in the op slab and queue it on `stream`; `issue` runs
+    /// when the op reaches the head of the stream. `issue` must capture
+    /// nothing, so the queued task stays `(machine, slot)`.
+    fn submit_op(
+        &self,
+        k: &mut Kernel,
+        stream: Stream,
+        op: Op,
+        issue: impl FnOnce(&GpuMachine, &mut Kernel, usize) + 'static,
+    ) -> Completion {
+        let done = op.done.clone();
+        let slot = self.inner.ops.borrow_mut().insert(op);
+        let m = self.clone();
+        k.fifo_submit(self.stream_fifo(stream), move |k, token| {
+            {
+                let mut ops = m.inner.ops.borrow_mut();
+                let op = ops.get_mut(slot).expect("op parked until it finishes");
+                op.token = Some(token);
+                op.start = k.now();
+            }
+            issue(&m, k, slot);
+        });
+        done
+    }
+
+    /// Start the flow that moves a parked op's bytes; the op finishes when
+    /// it lands.
+    fn start_op_flow(&self, k: &mut Kernel, slot: usize) {
+        let m = self.clone();
+        let on_done = move |k: &mut Kernel| m.finish_op(k, slot);
+        let ops = self.inner.ops.borrow();
+        match &ops.get(slot).expect("op parked until it finishes").kind {
+            OpKind::Memcpy { path, len, .. } => k.start_flow(path, *len, on_done),
+            OpKind::Kernel { engine, bytes, .. } => k.start_flow(&[*engine], *bytes, on_done),
+        }
+    }
+
+    /// A parked op's last byte landed: run its effect, release its stream
+    /// slot and fire its completion.
+    fn finish_op(&self, k: &mut Kernel, slot: usize) {
+        let op = self.inner.ops.borrow_mut().remove(slot);
+        match op.kind {
+            OpKind::Memcpy {
+                len,
+                dst,
+                dst_off,
+                src,
+                src_off,
+                ..
+            } => {
+                dst.copy_from(dst_off, &src, src_off, len);
+                if k.trace.is_enabled() {
+                    k.trace.record(
+                        op.track,
+                        format!("{} {len}B", op.label),
+                        "memcpy",
+                        op.start,
+                        k.now(),
+                    );
+                }
+            }
+            OpKind::Kernel { work, .. } => {
+                if let Some(w) = work {
+                    w();
+                }
+                k.trace
+                    .record(op.track, op.label, "kernel", op.start, k.now());
+            }
+        }
+        k.fifo_task_done(op.token.expect("op finished before it started"));
+        k.complete(&op.done);
     }
 
     /// `cudaMemcpyAsync`/`cudaMemcpyPeerAsync`: enqueue a copy on `stream`.
@@ -135,28 +240,28 @@ impl GpuMachine {
                 1,
             );
         }
-        let fifo = self.stream_fifo(stream);
-        let track = self.stream_track(stream);
-        let latency = self.cost_model().memcpy_latency;
-        let done = k.completion();
-        let d2 = done.clone();
-        let dst = dst.clone();
-        let src = src.clone();
-        k.fifo_submit(fifo, move |k, token| {
-            let start = k.now();
-            k.schedule_in(latency, move |k| {
-                k.start_flow(&path, len, move |k| {
-                    dst.copy_from(dst_off, &src, src_off, len);
-                    if k.trace.is_enabled() {
-                        k.trace
-                            .record(track, format!("{label} {len}B"), "memcpy", start, k.now());
-                    }
-                    k.fifo_task_done(token);
-                    k.complete(&d2);
-                });
+        let op = Op {
+            kind: OpKind::Memcpy {
+                path,
+                len,
+                dst: dst.clone(),
+                dst_off,
+                src: src.clone(),
+                src_off,
+            },
+            label,
+            track: self.stream_track(stream),
+            done: k.completion(),
+            token: None,
+            start: SimTime::ZERO,
+        };
+        // The copy engine's setup latency elapses before the bytes move.
+        self.submit_op(k, stream, op, |m, k, slot| {
+            let m2 = m.clone();
+            k.schedule_in(m.cost_model().memcpy_latency, move |k| {
+                m2.start_op_flow(k, slot)
             });
-        });
-        done
+        })
     }
 
     /// Launch a kernel on `stream` that touches `bytes` of device memory
@@ -167,7 +272,7 @@ impl GpuMachine {
         &self,
         ctx: &SimCtx,
         stream: Stream,
-        label: impl Into<String>,
+        label: &'static str,
         bytes: u64,
         work: Option<Work>,
     ) -> Completion {
@@ -180,15 +285,11 @@ impl GpuMachine {
         &self,
         k: &mut Kernel,
         stream: Stream,
-        label: impl Into<String>,
+        label: &'static str,
         bytes: u64,
         work: Option<Work>,
     ) -> Completion {
         let device = self.stream_device(stream);
-        let engine = self.engine_link(device);
-        let fifo = self.stream_fifo(stream);
-        let track = self.stream_track(stream);
-        let label = label.into();
         if k.metrics.is_enabled() {
             let dev = format!("n{}.g{}", self.node_of(device), self.local_of(device));
             k.metrics
@@ -196,20 +297,19 @@ impl GpuMachine {
             k.metrics
                 .counter_add("gpusim", "kernel_bytes", &[("dev", &dev)], bytes);
         }
-        let done = k.completion();
-        let d2 = done.clone();
-        k.fifo_submit(fifo, move |k, token| {
-            let start = k.now();
-            k.start_flow(&[engine], bytes, move |k| {
-                if let Some(w) = work {
-                    w();
-                }
-                k.trace.record(track, label, "kernel", start, k.now());
-                k.fifo_task_done(token);
-                k.complete(&d2);
-            });
-        });
-        done
+        let op = Op {
+            kind: OpKind::Kernel {
+                engine: self.engine_link(device),
+                bytes,
+                work,
+            },
+            label,
+            track: self.stream_track(stream),
+            done: k.completion(),
+            token: None,
+            start: SimTime::ZERO,
+        };
+        self.submit_op(k, stream, op, GpuMachine::start_op_flow)
     }
 
     /// `cudaEventRecord`: returns a completion that fires when the stream

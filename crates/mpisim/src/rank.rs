@@ -285,7 +285,12 @@ impl<'a> RankCtx<'a> {
     pub fn start(&self, ch: &Channel) -> ChannelRound {
         self.sim.delay(self.st.cfg.persistent_start_overhead);
         let (parts, revoked) = self.sim.with_kernel(|k| self.st.channel_start(k, ch));
-        let all = self.sim.with_kernel(|k| k.completion_all(&parts));
+        // A one-partition round (every persistent one) completes with its
+        // partition: no aggregate completion is needed.
+        let all = match &parts[..] {
+            [only] => only.clone(),
+            _ => self.sim.with_kernel(|k| k.completion_all(&parts)),
+        };
         ChannelRound {
             all: Request { done: all, revoked },
             parts,

@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use detsim::{Completion, Kernel, LinkId, SimDuration, SimTime};
+use detsim::{Completion, Kernel, LinkId, Path, SimDuration, SimTime, Slab};
 use faultsim::{FaultAction, FaultSchedule};
 use gpusim::{Buffer, GpuMachine, Placement};
 
@@ -112,7 +112,8 @@ impl Channel {
 /// whole round; poll [`Self::parts`] for per-partition arrival
 /// (`MPI_Parrived`).
 pub struct ChannelRound {
-    /// Completes when every partition of this side's round has landed.
+    /// Completes when every partition of this side's round has landed. For
+    /// a one-partition round it is that partition's completion itself.
     pub all: Request,
     /// Per-partition completions, in partition order.
     pub parts: Vec<Completion>,
@@ -126,20 +127,55 @@ struct ChanEnd {
     rank: usize,
 }
 
+/// One side of a channel round.
+#[derive(Default)]
+struct RoundSide {
+    started: bool,
+    /// The per-partition completions this side's `start` handed out.
+    parts: Vec<Completion>,
+    /// Revocation flag handed out with this side's round request, so a
+    /// kill can mark an in-flight round revoked.
+    flag: Option<Rc<Cell<bool>>>,
+}
+
 /// Per-round state: which sides have started, which partitions are ready,
-/// and the completions each side's `start` handed out.
+/// and the completions each side's `start` handed out. A finished round's
+/// state is kept and reset for the next round, so steady-state rounds
+/// reuse its vectors.
 struct ChannelRoundState {
-    send_parts: Option<Vec<Completion>>,
-    recv_parts: Option<Vec<Completion>>,
-    /// Revocation flags handed out with each side's round requests, so a
-    /// kill can mark in-flight rounds revoked.
-    send_flag: Option<Rc<Cell<bool>>>,
-    recv_flag: Option<Rc<Cell<bool>>>,
+    send: RoundSide,
+    recv: RoundSide,
     ready: Vec<bool>,
     launched: Vec<bool>,
     remaining: usize,
     /// When the earlier side started (match-wait metrics).
     first_started: SimTime,
+}
+
+impl ChannelRoundState {
+    /// A fresh round of `parts` partitions, reusing `spare`'s vectors.
+    fn begin(spare: Option<ChannelRoundState>, parts: usize, now: SimTime) -> Self {
+        let mut r = spare.unwrap_or(ChannelRoundState {
+            send: RoundSide::default(),
+            recv: RoundSide::default(),
+            ready: Vec::new(),
+            launched: Vec::new(),
+            remaining: 0,
+            first_started: now,
+        });
+        for side in [&mut r.send, &mut r.recv] {
+            side.started = false;
+            side.parts.clear();
+            side.flag = None;
+        }
+        r.ready.clear();
+        r.ready.resize(parts, false);
+        r.launched.clear();
+        r.launched.resize(parts, false);
+        r.remaining = parts;
+        r.first_started = now;
+        r
+    }
 }
 
 struct ChannelState {
@@ -151,6 +187,8 @@ struct ChannelState {
     /// (rendezvous); later rounds reuse the negotiated match.
     rounds_done: u64,
     cur: Option<ChannelRoundState>,
+    /// The last finished round, kept for [`ChannelRoundState::begin`].
+    spare: Option<ChannelRoundState>,
     /// A rank death revokes the communicator's channels (ULFM
     /// `MPI_Comm_revoke` semantics): every later `start` on an old handle
     /// completes immediately as revoked. Survivors re-init fresh channels
@@ -167,6 +205,29 @@ struct PendingMsg {
     rank: usize,
     /// When the operation was posted (for match-latency metrics).
     posted: SimTime,
+}
+
+/// A matched message or channel partition, from the send being issued to
+/// its last byte landing. It sits in the MPI state's transfer slab, so each
+/// closure that drives it captures only `(state, slot)` — two words, which
+/// the event kernel stores inline.
+struct Transfer {
+    path: Path,
+    bytes: u64,
+    src: Buffer,
+    src_off: u64,
+    dst: Buffer,
+    dst_off: u64,
+    send_done: Completion,
+    recv_done: Completion,
+    /// Fired after both ends: releases the default streams a CUDA-aware
+    /// transfer holds.
+    landed: Option<Completion>,
+    /// The channel whose round this partition belongs to.
+    chan: Option<Rc<RefCell<ChannelState>>>,
+    track: detsim::trace::TrackId,
+    label: &'static str,
+    start: SimTime,
 }
 
 #[derive(Default)]
@@ -233,6 +294,8 @@ pub(crate) struct MpiState {
     /// Memoized deterministic setup artifacts shared across the world's
     /// ranks (see [`RankCtx::cached_setup`](crate::RankCtx::cached_setup)).
     pub(crate) setup_cache: RefCell<HashMap<String, Rc<dyn Any>>>,
+    /// In-flight transfers (see [`Transfer`]).
+    transfers: RefCell<Slab<Transfer>>,
 }
 
 impl MpiState {
@@ -281,6 +344,7 @@ impl MpiState {
                 all_alive_waiters: Vec::new(),
             }),
             setup_cache: RefCell::new(HashMap::new()),
+            transfers: RefCell::new(Slab::new()),
         })
     }
 
@@ -292,7 +356,7 @@ impl MpiState {
     /// the peer's receive is also posted.
     #[allow(clippy::too_many_arguments)] // mirrors the MPI signature
     pub fn isend(
-        &self,
+        self: &Rc<Self>,
         k: &mut Kernel,
         src_rank: usize,
         dst_rank: usize,
@@ -364,7 +428,7 @@ impl MpiState {
     /// Post a non-blocking receive.
     #[allow(clippy::too_many_arguments)] // mirrors the MPI signature
     pub fn irecv(
-        &self,
+        self: &Rc<Self>,
         k: &mut Kernel,
         dst_rank: usize,
         src_rank: usize,
@@ -420,7 +484,7 @@ impl MpiState {
         }
     }
 
-    fn start_transfer(&self, k: &mut Kernel, send: PendingMsg, recv: PendingMsg) {
+    fn start_transfer(self: &Rc<Self>, k: &mut Kernel, send: PendingMsg, recv: PendingMsg) {
         assert!(
             recv.len >= send.len,
             "receive buffer region ({}) smaller than message ({})",
@@ -458,22 +522,35 @@ impl MpiState {
         }
     }
 
-    fn host_transfer(&self, k: &mut Kernel, send: PendingMsg, recv: PendingMsg) {
+    /// Route between host buffers on `(n1, s1)` and `(n2, s2)`. Within a
+    /// node that is the shared-memory transport: the sending rank's
+    /// progress engine pumps the bytes, and cross-socket copies also ride
+    /// the X-Bus.
+    fn host_path(
+        &self,
+        send_rank: usize,
+        (n1, s1): (usize, usize),
+        (n2, s2): (usize, usize),
+    ) -> Path {
+        let fabric = self.machine.fabric();
+        if n1 == n2 {
+            let mut p = Path::new();
+            p.push(self.shm_link[send_rank]);
+            let spec = fabric.node_spec();
+            p.extend_from_slice(&fabric.node_path(n1, spec.cpu(s1), spec.cpu(s2)));
+            p
+        } else {
+            fabric.internode_host_path(n1, s1, n2, s2)
+        }
+    }
+
+    fn host_transfer(self: &Rc<Self>, k: &mut Kernel, send: PendingMsg, recv: PendingMsg) {
         let (Placement::Host(n1, s1), Placement::Host(n2, s2)) =
             (send.buf.placement(), recv.buf.placement())
         else {
             unreachable!("host_transfer with device buffers");
         };
-        let fabric = self.machine.fabric();
-        let path = if n1 == n2 {
-            // Shared-memory transport: the sender's progress engine pumps
-            // the bytes; cross-socket copies also ride the X-Bus.
-            let mut p = vec![self.shm_link[send.rank]];
-            p.extend(fabric.node_path(n1, fabric.node_spec().cpu(s1), fabric.node_spec().cpu(s2)));
-            p
-        } else {
-            fabric.internode_host_path(n1, s1, n2, s2)
-        };
+        let path = self.host_path(send.rank, (n1, s1), (n2, s2));
         let label = if n1 == n2 { "MPI shm" } else { "MPI net" };
         if k.metrics.is_enabled() {
             let transport = if n1 == n2 { "shm" } else { "net" };
@@ -484,32 +561,82 @@ impl MpiState {
                 send.len,
             );
         }
-        self.flow_transfer(k, path, self.protocol_latency(send.len), send, recv, label);
+        let latency = self.protocol_latency(send.len);
+        let t = self.transfer(k, path, send, recv, label);
+        let slot = self.transfers.borrow_mut().insert(t);
+        let st = Rc::clone(self);
+        k.schedule_in(latency, move |k| st.start_transfer_flow(k, slot));
     }
 
-    fn flow_transfer(
+    /// The transfer of a matched `send` into `recv` over `path`.
+    fn transfer(
         &self,
-        k: &mut Kernel,
-        path: Vec<LinkId>,
-        extra_latency: SimDuration,
+        k: &Kernel,
+        path: Path,
         send: PendingMsg,
         recv: PendingMsg,
         label: &'static str,
-    ) {
-        let bytes = send.len;
-        let track = self.rank_track[send.rank];
-        let start = k.now();
-        k.schedule_in(extra_latency, move |k| {
-            k.start_flow(&path, bytes, move |k| {
-                recv.buf.copy_from(recv.off, &send.buf, send.off, bytes);
-                if k.trace.is_enabled() {
-                    k.trace
-                        .record(track, format!("{label} {bytes}B"), "mpi", start, k.now());
+    ) -> Transfer {
+        Transfer {
+            path,
+            bytes: send.len,
+            src: send.buf,
+            src_off: send.off,
+            dst: recv.buf,
+            dst_off: recv.off,
+            send_done: send.done,
+            recv_done: recv.done,
+            landed: None,
+            chan: None,
+            track: self.rank_track[send.rank],
+            label,
+            start: k.now(),
+        }
+    }
+
+    /// Start the flow that carries parked transfer `slot`.
+    fn start_transfer_flow(self: &Rc<Self>, k: &mut Kernel, slot: usize) {
+        let st = Rc::clone(self);
+        let transfers = self.transfers.borrow();
+        let t = transfers.get(slot).expect("transfer parked until it lands");
+        k.start_flow(&t.path, t.bytes, move |k| st.land_transfer(k, slot));
+    }
+
+    /// The last byte of parked transfer `slot` arrived: copy the data,
+    /// fire both ends (and the CUDA-aware stream release), and count a
+    /// channel partition towards its round.
+    fn land_transfer(&self, k: &mut Kernel, slot: usize) {
+        let t = self.transfers.borrow_mut().remove(slot);
+        t.dst.copy_from(t.dst_off, &t.src, t.src_off, t.bytes);
+        if k.trace.is_enabled() {
+            k.trace.record(
+                t.track,
+                format!("{} {}B", t.label, t.bytes),
+                "mpi",
+                t.start,
+                k.now(),
+            );
+        }
+        k.complete(&t.send_done);
+        k.complete(&t.recv_done);
+        if let Some(landed) = &t.landed {
+            k.complete(landed);
+        }
+        if let Some(chan) = &t.chan {
+            let mut st = chan.borrow_mut();
+            // A kill may have revoked the round out from under an in-flight
+            // partition; the late finish is then a no-op.
+            if let Some(r) = st.cur.as_mut() {
+                r.remaining -= 1;
+                if r.remaining == 0 {
+                    let mut done = st.cur.take().expect("round in progress");
+                    done.send.parts.clear();
+                    done.recv.parts.clear();
+                    st.spare = Some(done);
+                    st.rounds_done += 1;
                 }
-                k.complete(&send.done);
-                k.complete(&recv.done);
-            });
-        });
+            }
+        }
     }
 
     /// CUDA-aware transfer: the MPI library moves device buffers itself.
@@ -517,7 +644,7 @@ impl MpiState {
     /// transfers through the *default* stream of each involved device (so
     /// concurrent CUDA-aware messages on one GPU serialize) and performs
     /// per-message synchronization/setup (`cuda_aware_overhead`).
-    fn cuda_aware_transfer(&self, k: &mut Kernel, send: PendingMsg, recv: PendingMsg) {
+    fn cuda_aware_transfer(self: &Rc<Self>, k: &mut Kernel, send: PendingMsg, recv: PendingMsg) {
         let fabric = self.machine.fabric();
         let spec = fabric.node_spec();
         let comp_of = |b: &Buffer| match b.placement() {
@@ -531,19 +658,14 @@ impl MpiState {
         } else {
             fabric.internode_comp_path(n1, c1, n2, c2)
         };
-        let overhead = self.cfg.cuda_aware_overhead + self.protocol_latency(send.len);
-        let bytes = send.len;
         if k.metrics.is_enabled() {
             k.metrics.counter_add(
                 "mpi",
                 "transport_bytes",
                 &[("transport", "cuda-aware")],
-                bytes,
+                send.len,
             );
         }
-        let track = self.rank_track[send.rank];
-
-        let landed = k.completion();
         // The transfer occupies the default stream of *every* involved
         // device until the data lands: the MPI library stages its transfers
         // through the default stream and synchronizes around them, so all
@@ -557,31 +679,32 @@ impl MpiState {
         let primary = src_dev
             .or(recv.buf.device())
             .expect("cuda-aware without device");
-
-        let machine = self.machine.clone();
-        let fifo_primary = machine.stream_fifo(machine.default_stream(primary));
-        let landed2 = landed.clone();
+        let landed = k.completion();
+        let mut t = self.transfer(k, path, send, recv, "MPI cuda-aware");
+        t.landed = Some(landed.clone());
+        let slot = self.transfers.borrow_mut().insert(t);
+        let fifo_primary = self
+            .machine
+            .stream_fifo(self.machine.default_stream(primary));
+        let st = Rc::clone(self);
         k.fifo_submit(fifo_primary, move |k, token| {
-            let start = k.now();
-            let landed3 = landed2.clone();
-            k.schedule_in(overhead, move |k| {
-                k.start_flow(&path, bytes, move |k| {
-                    recv.buf.copy_from(recv.off, &send.buf, send.off, bytes);
-                    if k.trace.is_enabled() {
-                        k.trace.record(
-                            track,
-                            format!("MPI cuda-aware {bytes}B"),
-                            "mpi",
-                            start,
-                            k.now(),
-                        );
-                    }
-                    k.complete(&send.done);
-                    k.complete(&recv.done);
-                    k.complete(&landed3);
-                });
-            });
-            k.on_complete(&landed2.clone(), move |k| k.fifo_task_done(token));
+            let (bytes, landed) = {
+                let mut transfers = st.transfers.borrow_mut();
+                let t = transfers
+                    .get_mut(slot)
+                    .expect("transfer parked until it lands");
+                t.start = k.now();
+                (
+                    t.bytes,
+                    t.landed
+                        .clone()
+                        .expect("cuda-aware transfers release streams"),
+                )
+            };
+            let overhead = st.cfg.cuda_aware_overhead + st.protocol_latency(bytes);
+            let st2 = Rc::clone(&st);
+            k.schedule_in(overhead, move |k| st2.start_transfer_flow(k, slot));
+            k.on_complete(&landed, move |k| k.fifo_task_done(token));
         });
         if let Some(other) = dst_dev {
             let fifo_other = self.machine.stream_fifo(self.machine.default_stream(other));
@@ -651,6 +774,7 @@ impl MpiState {
                 recv: None,
                 rounds_done: 0,
                 cur: None,
+                spare: None,
                 revoked: false,
             })));
             channels.len() - 1
@@ -705,7 +829,11 @@ impl MpiState {
     /// [`Self::channel_pready`] — begin flying as soon as both sides of
     /// the round have started. On a revoked channel the round resolves
     /// immediately: all completions done, flag set, no bytes.
-    pub fn channel_start(&self, k: &mut Kernel, ch: &Channel) -> (Vec<Completion>, Rc<Cell<bool>>) {
+    pub fn channel_start(
+        self: &Rc<Self>,
+        k: &mut Kernel,
+        ch: &Channel,
+    ) -> (Vec<Completion>, Rc<Cell<bool>>) {
         let state = Rc::clone(&self.channels.borrow()[ch.id]);
         let mut st = state.borrow_mut();
         assert!(
@@ -725,35 +853,21 @@ impl MpiState {
             return (mine, Rc::new(Cell::new(true)));
         }
         let parts = st.parts;
-        let round = st.cur.get_or_insert_with(|| ChannelRoundState {
-            send_parts: None,
-            recv_parts: None,
-            send_flag: None,
-            recv_flag: None,
-            ready: vec![false; parts],
-            launched: vec![false; parts],
-            remaining: parts,
-            first_started: k.now(),
-        });
+        let now = k.now();
+        let st = &mut *st;
+        let round = st
+            .cur
+            .get_or_insert_with(|| ChannelRoundState::begin(st.spare.take(), parts, now));
         let mine: Vec<Completion> = (0..parts).map(|_| k.completion()).collect();
         let flag = Rc::new(Cell::new(false));
-        let (slot, flag_slot, other_started, waited_side) = match ch.side {
-            ChanSide::Send => (
-                &mut round.send_parts,
-                &mut round.send_flag,
-                round.recv_parts.is_some(),
-                "recv",
-            ),
-            ChanSide::Recv => (
-                &mut round.recv_parts,
-                &mut round.recv_flag,
-                round.send_parts.is_some(),
-                "send",
-            ),
+        let (side, other_started, waited_side) = match ch.side {
+            ChanSide::Send => (&mut round.send, round.recv.started, "recv"),
+            ChanSide::Recv => (&mut round.recv, round.send.started, "send"),
         };
-        assert!(slot.is_none(), "channel end started twice in one round");
-        *slot = Some(mine.clone());
-        *flag_slot = Some(Rc::clone(&flag));
+        assert!(!side.started, "channel end started twice in one round");
+        side.started = true;
+        side.parts.extend(mine.iter().cloned());
+        side.flag = Some(Rc::clone(&flag));
         if ch.side == ChanSide::Send && ch.kind == ChanKind::Persistent {
             // The whole persistent message is implicitly ready at start.
             round.ready.iter_mut().for_each(|r| *r = true);
@@ -786,13 +900,13 @@ impl MpiState {
                     .observe("mpi", "match_wait_ps", &[("side", waited_side)], waited);
             }
         }
-        self.channel_try_launch(k, &state, &mut st);
+        self.channel_try_launch(k, &state, st);
         (mine, flag)
     }
 
     /// `MPI_Pready`: mark one partition of a partitioned send ready. Its
     /// bytes begin flying immediately if the receiver's round has started.
-    pub fn channel_pready(&self, k: &mut Kernel, ch: &Channel, part: usize) {
+    pub fn channel_pready(self: &Rc<Self>, k: &mut Kernel, ch: &Channel, part: usize) {
         assert_eq!(ch.side, ChanSide::Send, "pready on a receive channel");
         assert_eq!(
             ch.kind,
@@ -811,7 +925,7 @@ impl MpiState {
             .as_mut()
             .expect("pready before the send side started the round");
         assert!(
-            round.send_parts.is_some(),
+            round.send.started,
             "pready before the send side started the round"
         );
         assert!(!round.ready[part], "partition marked ready twice");
@@ -827,7 +941,7 @@ impl MpiState {
     /// pays the protocol handshake latency (rendezvous for large messages);
     /// later rounds reuse the negotiated match — the persistent win.
     fn channel_try_launch(
-        &self,
+        self: &Rc<Self>,
         k: &mut Kernel,
         state: &Rc<RefCell<ChannelState>>,
         st: &mut ChannelState,
@@ -835,9 +949,9 @@ impl MpiState {
         let Some(round) = st.cur.as_mut() else {
             return;
         };
-        let (Some(send_parts), Some(recv_parts)) = (&round.send_parts, &round.recv_parts) else {
+        if !(round.send.started && round.recv.started) {
             return;
-        };
+        }
         let send = st.send.as_ref().unwrap();
         let recv = st.recv.as_ref().unwrap();
         let (Placement::Host(n1, s1), Placement::Host(n2, s2)) =
@@ -845,14 +959,7 @@ impl MpiState {
         else {
             unreachable!("channel ends are asserted host-resident at init");
         };
-        let fabric = self.machine.fabric();
-        let path: Vec<LinkId> = if n1 == n2 {
-            let mut p = vec![self.shm_link[send.rank]];
-            p.extend(fabric.node_path(n1, fabric.node_spec().cpu(s1), fabric.node_spec().cpu(s2)));
-            p
-        } else {
-            fabric.internode_host_path(n1, s1, n2, s2)
-        };
+        let path = self.host_path(send.rank, (n1, s1), (n2, s2));
         let transport = if n1 == n2 { "shm" } else { "net" };
         let label: &'static str = match (st.kind, n1 == n2) {
             (ChanKind::Persistent, true) => "MPI persistent shm",
@@ -878,35 +985,23 @@ impl MpiState {
                 k.metrics
                     .counter_add("mpi", "transport_bytes", &[("transport", transport)], bytes);
             }
-            let send_done = send_parts[part].clone();
-            let recv_done = recv_parts[part].clone();
-            let sbuf = send.buf.clone();
-            let rbuf = recv.buf.clone();
-            let (soff, roff) = (send.off + rel, recv.off + rel);
-            let chan = Rc::clone(state);
-            let path = path.clone();
-            let start = k.now();
-            k.schedule_in(extra, move |k| {
-                k.start_flow(&path, bytes, move |k| {
-                    rbuf.copy_from(roff, &sbuf, soff, bytes);
-                    if k.trace.is_enabled() {
-                        k.trace
-                            .record(track, format!("{label} {bytes}B"), "mpi", start, k.now());
-                    }
-                    k.complete(&send_done);
-                    k.complete(&recv_done);
-                    let mut st = chan.borrow_mut();
-                    // A kill may have revoked the round out from under an
-                    // in-flight partition; the late finish is then a no-op.
-                    if let Some(r) = st.cur.as_mut() {
-                        r.remaining -= 1;
-                        if r.remaining == 0 {
-                            st.cur = None;
-                            st.rounds_done += 1;
-                        }
-                    }
-                });
+            let slot = self.transfers.borrow_mut().insert(Transfer {
+                path: path.clone(),
+                bytes,
+                src: send.buf.clone(),
+                src_off: send.off + rel,
+                dst: recv.buf.clone(),
+                dst_off: recv.off + rel,
+                send_done: round.send.parts[part].clone(),
+                recv_done: round.recv.parts[part].clone(),
+                landed: None,
+                chan: Some(Rc::clone(state)),
+                track,
+                label,
+                start: k.now(),
             });
+            let st = Rc::clone(self);
+            k.schedule_in(extra, move |k| st.start_transfer_flow(k, slot));
         }
     }
 
@@ -1097,12 +1192,14 @@ impl MpiState {
                 }
                 st.revoked = true;
                 if let Some(round) = st.cur.take() {
-                    for flag in [&round.send_flag, &round.recv_flag].into_iter().flatten() {
-                        flag.set(true);
-                    }
-                    for parts in [round.send_parts, round.recv_parts].into_iter().flatten() {
-                        to_complete.extend(parts);
-                        revoked_ops += 1;
+                    for side in [round.send, round.recv] {
+                        if let Some(flag) = &side.flag {
+                            flag.set(true);
+                        }
+                        if side.started {
+                            to_complete.extend(side.parts);
+                            revoked_ops += 1;
+                        }
                     }
                 }
             }

@@ -2,7 +2,7 @@
 //! switch, and the instantiation of the whole machine into simulator links
 //! ([`Fabric`]).
 
-use detsim::{Kernel, LinkId, SimDuration};
+use detsim::{Kernel, LinkId, Path, SimDuration};
 
 use crate::node::{CompId, NodeSpec};
 
@@ -150,10 +150,6 @@ impl SwitchHierarchy {
     }
 }
 
-/// Initial capacity of a returned path: the deepest route the presets build
-/// (an internode host path) is 7 links.
-const PATH_CAPACITY: usize = 8;
-
 /// The instantiated machine: every directed link of every node, plus
 /// injection/ejection links, registered with a [`Kernel`]. Provides directed
 /// link paths for the transfers the upper layers perform.
@@ -238,26 +234,26 @@ impl Fabric {
     }
 
     /// Append the directed simulator links from `from` to `to` on `node`.
-    fn push_node_path(&self, path: &mut Vec<LinkId>, node: usize, from: CompId, to: CompId) {
+    fn push_node_path(&self, path: &mut Path, node: usize, from: CompId, to: CompId) {
         let comps = self.spec.node.components.len();
         let route = self.routes[from.0 * comps + to.0]
             .as_ref()
             .unwrap_or_else(|| panic!("no route {from:?} -> {to:?} in node spec"));
-        path.extend(route.iter().map(|&(li, forward)| {
-            if forward {
+        for &(li, forward) in route {
+            path.push(if forward {
                 self.fwd[node][li]
             } else {
                 self.rev[node][li]
-            }
-        }));
+            });
+        }
     }
 
     /// Inter-node path: `c1` on `n1` to the NIC, injection, ejection, NIC to
     /// `c2` on `n2`.
-    fn internode_path(&self, n1: usize, c1: CompId, n2: usize, c2: CompId) -> Vec<LinkId> {
+    fn internode_path(&self, n1: usize, c1: CompId, n2: usize, c2: CompId) -> Path {
         assert_ne!(n1, n2, "internode path within one node");
         let nic = self.spec.node.nic(0);
-        let mut path = Vec::with_capacity(PATH_CAPACITY);
+        let mut path = Path::new();
         self.push_node_path(&mut path, n1, c1, nic);
         path.push(self.inject[n1]);
         path.push(self.eject[n2]);
@@ -276,25 +272,25 @@ impl Fabric {
     }
 
     /// Directed simulator-link path between two components of one node.
-    pub fn node_path(&self, node: usize, from: CompId, to: CompId) -> Vec<LinkId> {
-        let mut path = Vec::with_capacity(PATH_CAPACITY);
+    pub fn node_path(&self, node: usize, from: CompId, to: CompId) -> Path {
+        let mut path = Path::new();
         self.push_node_path(&mut path, node, from, to);
         path
     }
 
     /// Path for a peer copy between two GPUs on one node.
-    pub fn gpu_gpu_path(&self, node: usize, g1: usize, g2: usize) -> Vec<LinkId> {
+    pub fn gpu_gpu_path(&self, node: usize, g1: usize, g2: usize) -> Path {
         self.node_path(node, self.spec.node.gpu(g1), self.spec.node.gpu(g2))
     }
 
     /// Path for a device-to-host copy from GPU `g` to its socket's memory.
-    pub fn gpu_to_host_path(&self, node: usize, g: usize) -> Vec<LinkId> {
+    pub fn gpu_to_host_path(&self, node: usize, g: usize) -> Path {
         let s = self.spec.node.gpu_socket(g);
         self.node_path(node, self.spec.node.gpu(g), self.spec.node.cpu(s))
     }
 
     /// Path for a host-to-device copy from GPU `g`'s socket memory to GPU `g`.
-    pub fn host_to_gpu_path(&self, node: usize, g: usize) -> Vec<LinkId> {
+    pub fn host_to_gpu_path(&self, node: usize, g: usize) -> Path {
         let s = self.spec.node.gpu_socket(g);
         self.node_path(node, self.spec.node.cpu(s), self.spec.node.gpu(g))
     }
@@ -309,7 +305,7 @@ impl Fabric {
         socket1: usize,
         n2: usize,
         socket2: usize,
-    ) -> Vec<LinkId> {
+    ) -> Path {
         let node = &self.spec.node;
         self.internode_path(n1, node.cpu(socket1), n2, node.cpu(socket2))
     }
@@ -317,7 +313,7 @@ impl Fabric {
     /// Inter-node path directly between two GPUs (the GPUDirect-style route
     /// used by CUDA-aware MPI): source GPU to its node's NIC, across the
     /// switch, NIC to destination GPU.
-    pub fn internode_gpu_path(&self, n1: usize, g1: usize, n2: usize, g2: usize) -> Vec<LinkId> {
+    pub fn internode_gpu_path(&self, n1: usize, g1: usize, n2: usize, g2: usize) -> Path {
         let node = &self.spec.node;
         self.internode_path(n1, node.gpu(g1), n2, node.gpu(g2))
     }
@@ -325,7 +321,7 @@ impl Fabric {
     /// Inter-node path between two arbitrary components (e.g. a GPU on one
     /// node and a CPU socket on another, as in a CUDA-aware send with a
     /// device buffer on one side only).
-    pub fn internode_comp_path(&self, n1: usize, c1: CompId, n2: usize, c2: CompId) -> Vec<LinkId> {
+    pub fn internode_comp_path(&self, n1: usize, c1: CompId, n2: usize, c2: CompId) -> Path {
         self.internode_path(n1, c1, n2, c2)
     }
 
